@@ -99,19 +99,21 @@ def cmd_verify(args) -> int:
     except (OSError, build.SolutionNetFormatError) as exc:
         return _fail("cannot load network: %s" % exc)
     prov = solution.provenance
-    needed = {"seed", "N", "M", "delta"}
+    needed = {"problem_hash", "seed", "N", "M", "delta"}
     if not needed.issubset(prov):
         return _fail("provenance block missing %s" % sorted(needed - set(prov)))
     pb = tp.problem
+    if prov["problem_hash"] != pb.hash():
+        return _fail(
+            "network was built for another problem (problem_hash %s, %s d=%d has %s)"
+            % (prov["problem_hash"], args.problem, pb.d, pb.hash())
+        )
     net = solution.net
     if net.in_dim != pb.d + 1:
         return _fail("network input dimension %d does not match problem d+1=%d" % (net.in_dim, pb.d + 1))
     N, M, delta, seed = prov["N"], prov["M"], prov["delta"], prov["seed"]
     B = sde.sqrtm_psd(2.0 * pb.A)
     noise = sde.sample_brownian(seed, N, M, pb.d, pb.T, B)
-
-    def net_fn(ts, xs):
-        return nets.realize(net, np.column_stack([ts, xs])).ravel()
 
     def mc_fn(ts, xs):
         out = np.empty(len(ts))
@@ -121,8 +123,11 @@ def cmd_verify(args) -> int:
         return out
 
     p = pb.params.p
-    err_exact = sde.lp_error(net_fn, lambda t, x: tp.exact_solution(t, x), tp.measure, p, args.samples, args.seed)
-    err_mc = sde.lp_error(net_fn, mc_fn, tp.measure, p, args.samples, args.seed)
+    # one set of measure points and one realization of the network serve both errors
+    ts, xs = tp.measure.sample(args.samples, args.seed)
+    net_vals = nets.realize(net, np.column_stack([ts, xs])).ravel()
+    err_exact = sde.lp_distance(net_vals, tp.exact_solution(ts, xs), p)
+    err_mc = sde.lp_distance(net_vals, mc_fn(ts, xs), p)
     mass_fac = tp.measure.mass ** (1.0 / p)
     bound = bounds.solution_error_bound(pb.params, pb.d, N, M, delta, tp.measure.mass)
     ok = err_exact * mass_fac <= bound + tp.init_accuracy

@@ -6,11 +6,19 @@ a Feynman-Kac Monte Carlo evaluator for the associated Kolmogorov PDE,
 and sampled L^p distances over a uniform space-time box.
 
 Randomness is reproducible and order independent: path ``m`` of a grid
-draws from a Philox stream keyed by (seed, purpose, m), and step ``n``
-consumes the fixed counter block [n*k, (n+1)*k) of that stream, so the
-same (seed, m, n) always yields the same increment no matter how paths
-are scheduled.  Normals come from 53-bit uniforms through the inverse
-normal CDF, which keeps the consumption per step constant.
+draws from a Philox4x64-10 stream keyed by (seed mod 2^64, purpose << 48 | m),
+and step ``n`` consumes the fixed words [n*k, (n+1)*k) of that stream, so
+the same (seed, m, n) always yields the same increment no matter how paths
+are scheduled or chunked.  Normals come from 53-bit uniforms through the
+inverse normal CDF, which keeps the consumption per step constant.
+
+Counter layout (numpy's ``Philox``): the 256-bit counter starts at 1 and
+word ``w`` of a stream is lane ``w % 4`` of the block at counter
+``w // 4 + 1``; the uniform is ``((word >> 11) + 0.5) 2^-53``, which is
+``Generator.integers(0, 2**53)`` exactly (no rejection).  Short streams
+run the 10-round bijection for all paths at once in uint64 numpy code;
+streams of at least 512 words use numpy's C generator per path.  Both
+give the same bits, and the tests compare them.
 """
 
 from __future__ import annotations
@@ -27,16 +35,81 @@ _U53 = float(2.0 ** -53)
 # purpose tags for substream derivation
 _TAG_INCREMENTS = 1
 _TAG_MEASURE = 2
+_TAG_POINT_PATHS = 7  # per-sample-point paths of the MC Euler functional study
+
+# Philox4x64-10 constants (Salmon et al., "Parallel random numbers: as easy
+# as 1, 2, 3", SC'11): round multipliers and Weyl key increments.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_MASK64 = 2**64 - 1
+
+# Philox blocks per vectorized chunk: keeps the uint64 temporaries in cache.
+_CHUNK_BLOCKS = 1 << 14
+# From this many words per stream on, numpy's per-stream C generator is faster.
+_ROW_STREAM_WORDS = 512
 
 
 def _stream(seed: int, tag: int, index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64((tag << 48) | index)])
+    key = np.array([np.uint64(seed & _MASK64), np.uint64((tag << 48) | index)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _u53_normals(bits) -> np.ndarray:
+    """Normals from integers in [0, 2^53) through the midpoint uniform."""
+    return ndtri((bits.astype(np.float64) + 0.5) * _U53)
+
+
 def _normals(gen: np.random.Generator, shape) -> np.ndarray:
-    u = (gen.integers(0, 2**53, size=shape).astype(np.float64) + 0.5) * _U53
-    return ndtri(u)
+    return _u53_normals(gen.integers(0, 2**53, size=shape))
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray):
+    """High and low 64-bit halves of the 128-bit products a * b, via 32-bit limbs."""
+    a_lo, a_hi = a & _LO32, a >> np.uint64(32)
+    b_lo, b_hi = b & _LO32, b >> 32
+    ll = a_lo * b_lo
+    lh = a_lo * b_hi
+    hl = a_hi * b_lo
+    mid = (ll >> 32) + (lh & _LO32) + (hl & _LO32)
+    return a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), a * b
+
+
+def _philox_words(seed: int, key1: np.ndarray, blocks: int) -> np.ndarray:
+    """Words of blocks 1..``blocks`` of the streams keyed (seed, key1[i]): shape (rows, 4 * blocks)."""
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64) + np.zeros_like(key1)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = seed & _MASK64, key1
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        # one round, as numpy's Philox: two 64x64->128 products, then the lane shuffle
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(key1), 4 * blocks)
+
+
+def _philox_normals(seed: int, tag: int, index, n: int) -> np.ndarray:
+    """First n normals of the streams keyed (seed, tag << 48 | index[i]), shape (len(index), n).
+
+    Row i equals ``_normals(_stream(seed, tag, index[i]), n)`` bitwise.
+    """
+    index = np.asarray(index, dtype=np.uint64).reshape(-1)
+    out = np.empty((len(index), n))
+    if n >= _ROW_STREAM_WORDS:
+        for i, m in enumerate(index.tolist()):
+            out[i] = _normals(_stream(seed, tag, m), n)
+        return out
+    blocks = -(-n // 4)
+    rows = max(1, _CHUNK_BLOCKS // blocks)
+    key1 = (np.uint64(tag << 48) | index)[:, None]
+    for lo in range(0, len(index), rows):
+        words = _philox_words(seed, key1[lo : lo + rows], blocks)[:, :n]
+        out[lo : lo + rows] = _u53_normals(words >> 11)
+    return out
 
 
 def sqrtm_psd(a) -> np.ndarray:
@@ -134,9 +207,11 @@ def sample_brownian(seed: int, N: int, M: int, d: int, T: float, B=None) -> Brow
     k = B.shape[1]
     scale = np.sqrt(T / N)
     increments = np.empty((M, N, d))
-    for m in range(M):
-        z = _normals(_stream(seed, _TAG_INCREMENTS, m), (N, k))
-        increments[m] = scale * (z @ B.T)
+    rows = max(1, 4 * _CHUNK_BLOCKS // (N * k))  # paths per chunk: small normals temporaries
+    for lo in range(0, M, rows):
+        hi = min(lo + rows, M)
+        z = _philox_normals(seed, _TAG_INCREMENTS, np.arange(lo, hi), N * k)
+        increments[lo:hi] = scale * (z.reshape(hi - lo, N, k) @ B.T)
     increments.flags.writeable = False
     return BrownianGrid(seed=seed, N=N, M=M, d=d, T=float(T), increments=increments, diffusion=B)
 
@@ -246,11 +321,16 @@ def lp_error(fn_a, fn_b, measure: UniformSpaceTimeMeasure, p: float, samples: in
     (probability) version of the measure; multiply by mass**(1/p) for the
     unnormalized functional.  Deterministic per seed.
     """
+    t, x = measure.sample(samples, seed)
+    return lp_distance(fn_a(t, x), fn_b(t, x), p)
+
+
+def lp_distance(va, vb, p: float) -> float:
+    """Empirical L^p distance (mean |va - vb|^p)^(1/p) of two value arrays at the same points."""
     if p <= 0:
         raise ValueError("order p must be positive")
-    t, x = measure.sample(samples, seed)
-    va = np.asarray(fn_a(t, x), dtype=np.float64).ravel()
-    vb = np.asarray(fn_b(t, x), dtype=np.float64).ravel()
+    va = np.asarray(va, dtype=np.float64).ravel()
+    vb = np.asarray(vb, dtype=np.float64).ravel()
     return float(np.mean(np.abs(va - vb) ** p) ** (1.0 / p))
 
 

@@ -12,12 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 from scipy.stats import linregress
 
 from . import bounds, build, nets, problems, sde
-
-_U53 = float(2.0 ** -53)
 
 
 # ---------------------------------------------------------------------------
@@ -130,40 +127,47 @@ def moment_study(ds=(1, 2, 5), q: float = 2.0, paths: int = 20_000, N: int = 16,
     ok = True
     for name in ("heat_relu", "ou_linear"):
         for d in ds:
-            tp = problems.get_problem(name, d)
-            pb = tp.problem
-            B = sde.sqrtm_psd(2.0 * pb.A)
-            noise = sde.sample_brownian(seed + d, N, paths, d, pb.T, B)
-            x0 = np.full(d, 0.5)
-            state = sde.euler_grid(x0, pb.drift_net, noise)
-            norms = np.linalg.norm(state.grid_values, axis=2)  # (paths, N+1)
-            powq = norms**q
-            means = powq.mean(axis=0)
-            n_star = int(np.argmax(means))
-            emp = means[n_star] ** (1.0 / q)
-            se = powq[:, n_star].std(ddof=1) / math.sqrt(paths)
-            se_emp = se / (q * emp ** (q - 1.0)) if emp > 0 else se
-            trace = float(np.trace(B @ B.T))
-            C, c = pb.params.C, pb.params.c
-            bound = bounds.apriori_sde_bound(
-                float(np.linalg.norm(x0)),
-                C,
-                c,
-                pb.T,
-                bounds.gaussian_moment_bound(q, pb.T * trace),
-            )
-            # pathwise Gronwall envelope on the grid
-            partial = np.concatenate(
-                [np.zeros((paths, 1, d)), np.cumsum(noise.increments, axis=1)], axis=1
-            )
-            running_max = np.maximum.accumulate(np.linalg.norm(partial, axis=2), axis=1)
-            taus = noise.grid[None, :]
-            envelope = (np.linalg.norm(x0) + C * taus + running_max) * np.exp(c * taus)
-            violations = int((norms > envelope * (1 + 1e-12) + 1e-12).sum())
-            row_ok = emp <= bound + 3.0 * se_emp and violations == 0
+            row, row_ok = _moment_row(name, d, q, paths, N, seed)
             ok = ok and row_ok
-            rows.append((name, d, q, emp, se_emp, bound, violations))
+            rows.append(row)
     return rows, ok
+
+
+def _moment_row(name: str, d: int, q: float, paths: int, N: int, seed: int):
+    # one function per row, so that a row's path arrays are freed before the next row's
+    tp = problems.get_problem(name, d)
+    pb = tp.problem
+    B = sde.sqrtm_psd(2.0 * pb.A)
+    noise = sde.sample_brownian(seed + d, N, paths, d, pb.T, B)
+    x0 = np.full(d, 0.5)
+    state = sde.euler_grid(x0, pb.drift_net, noise)
+    norms = np.linalg.norm(state.grid_values, axis=2)  # (paths, N+1)
+    del state  # the grid values are the row's largest array
+    powq = norms**q
+    means = powq.mean(axis=0)
+    n_star = int(np.argmax(means))
+    emp = means[n_star] ** (1.0 / q)
+    se = powq[:, n_star].std(ddof=1) / math.sqrt(paths)
+    se_emp = se / (q * emp ** (q - 1.0)) if emp > 0 else se
+    trace = float(np.trace(B @ B.T))
+    C, c = pb.params.C, pb.params.c
+    bound = bounds.apriori_sde_bound(
+        float(np.linalg.norm(x0)),
+        C,
+        c,
+        pb.T,
+        bounds.gaussian_moment_bound(q, pb.T * trace),
+    )
+    # pathwise Gronwall envelope on the grid
+    walk = np.empty((paths, N + 1, d))
+    walk[:, 0] = 0.0
+    np.cumsum(noise.increments, axis=1, out=walk[:, 1:])
+    running_max = np.maximum.accumulate(np.linalg.norm(walk, axis=2), axis=1)
+    taus = noise.grid[None, :]
+    envelope = (np.linalg.norm(x0) + C * taus + running_max) * np.exp(c * taus)
+    violations = int((norms > envelope * (1 + 1e-12) + 1e-12).sum())
+    row_ok = emp <= bound + 3.0 * se_emp and violations == 0
+    return (name, d, q, emp, se_emp, bound, violations), row_ok
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +232,9 @@ def _mc_euler_functional_errors(tp, N, M, K, seed, chunk=256):
     """Sampled squared errors of the MC Euler functional against the exact solution.
 
     Fresh Brownian paths per sample point (the estimator targets the
-    P (x) nu integrated error).  Vectorized over (point, path) pairs.
+    P (x) nu integrated error): point i draws its M x N x k normals from
+    the stream keyed (seed, 7 << 48 | i), so the result does not depend on
+    ``chunk``.  Vectorized over (point, path) pairs.
     """
     pb = tp.problem
     d = pb.d
@@ -243,9 +249,8 @@ def _mc_euler_functional_errors(tp, N, M, K, seed, chunk=256):
     for start in range(0, K, chunk):
         stop = min(start + chunk, K)
         kk = stop - start
-        gen = np.random.Generator(np.random.Philox(key=[seed, (7 << 48) | start]))
-        u = (gen.integers(0, 2**53, size=(kk * M, N, k_noise)).astype(np.float64) + 0.5) * _U53
-        inc = scale * (ndtri(u) @ B.T)
+        z = sde._philox_normals(seed, sde._TAG_POINT_PATHS, np.arange(start, stop), M * N * k_noise)
+        inc = scale * (z.reshape(kk * M, N, k_noise) @ B.T)
         y = np.repeat(xs[start:stop], M, axis=0)
         ygrid = np.empty((kk * M, N + 1, d))
         ygrid[:, 0] = y

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from kolmonet import cli
@@ -108,3 +109,34 @@ def test_build_then_verify_reference_budget(tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.strip().endswith("pass")
+
+
+def test_verify_rejects_network_of_another_problem(tmp_path, capsys):
+    out = tmp_path / "ou.json"
+    args = ["build", "--problem", "ou_linear", "--d", "1", "--N", "2", "--M", "2", "--delta", "0.0625", "--seed", "2026"]
+    assert run(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    code = run(["verify", "--in", str(out), "--problem", "heat_relu", "--d", "1", "--samples", "512", "--seed", "5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "another problem" in captured.err
+
+
+def test_verify_realizes_the_network_once(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "heat.json"
+    args = ["build", "--problem", "heat_relu", "--d", "1", "--N", "2", "--M", "4", "--delta", "0.0625", "--seed", "1"]
+    assert run(args + ["--out", str(out)]) == 0
+    from kolmonet import nets
+
+    calls = []
+    realize = nets.realize
+
+    def counting(net, x):
+        if net.in_dim == 2:  # the (t, x) solution network; drift and f0 take x alone
+            calls.append(np.shape(x))
+        return realize(net, x)
+
+    monkeypatch.setattr(nets, "realize", counting)
+    assert run(["verify", "--in", str(out), "--problem", "heat_relu", "--d", "1", "--samples", "64", "--seed", "5"]) == 0
+    assert calls == [(64, 2)]

@@ -37,6 +37,58 @@ def test_path_prefix_stable_when_m_grows():
     assert np.array_equal(a.increments, b.increments[:10])
 
 
+def _per_path_increments(seed, N, M, T, B):
+    # the per-path C generator, one stream per path: the reference for the vectorized sampler
+    k = B.shape[1]
+    return np.stack(
+        [math.sqrt(T / N) * (sde._normals(sde._stream(seed, 1, m), (N, k)) @ B.T) for m in range(M)]
+    )
+
+
+SEEDS = (0, 2**63 + 5, -1)
+
+
+@pytest.mark.parametrize(
+    "N, M, B",
+    [
+        (3, 7300, np.eye(3)),  # N*k = 9: not a multiple of 4, and M crosses both chunk boundaries
+        (5, 40, np.arange(6.0).reshape(3, 2) - 2.5),  # k != d, N*k = 10
+        (7, 30, np.arange(6.0).reshape(2, 3) / 4),  # k != d, N*k = 21
+        (511, 3, np.eye(1)),  # N*k = 511, the last vectorized length
+        (256, 3, np.eye(2)),  # N*k = 512, the first per-path length
+        (171, 3, np.eye(3)),  # N*k = 513
+        (16, 1, np.eye(1)),  # M = 1
+        (1, 50, np.eye(2)),  # N = 1
+    ],
+)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sample_brownian_matches_per_path_streams(seed, N, M, B):
+    grid = sde.sample_brownian(seed, N, M, B.shape[0], 0.7, B)
+    assert np.array_equal(grid.increments, _per_path_increments(seed, N, M, 0.7, B))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 511, 512, 513])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_philox_normals_rows_match_streams(seed, n):
+    index = [0, 9, 3, 2**48 - 1]
+    z = sde._philox_normals(seed, 5, index, n)
+    assert z.shape == (len(index), n)
+    for row, m in zip(z, index):
+        assert np.array_equal(row, sde._normals(sde._stream(seed, 5, m), n))
+
+
+@pytest.mark.parametrize("n", [6, 600])
+def test_philox_normals_independent_of_row_order_and_chunking(monkeypatch, n):
+    index = np.arange(300)
+    whole = sde._philox_normals(11, 1, index, n)
+    perm = np.random.default_rng(0).permutation(index)
+    assert np.array_equal(sde._philox_normals(11, 1, perm, n), whole[perm])
+    parts = [sde._philox_normals(11, 1, part, n) for part in np.array_split(index, 7)]
+    assert np.array_equal(np.vstack(parts), whole)
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 5)
+    assert np.array_equal(sde._philox_normals(11, 1, index, n), whole)
+
+
 def test_euler_zero_drift_partial_sums():
     grid = sde.sample_brownian(3, 6, 20, 2, 2.0)
     state = sde.euler_grid(np.zeros(2), None, grid)

@@ -1,6 +1,8 @@
 """The domination suite: every bound beats its matched empirical quantity."""
 
-from kolmonet import bounds, studies
+import numpy as np
+
+from kolmonet import bounds, problems, studies
 
 
 def test_bounds_domination_suite(tmp_path):
@@ -13,3 +15,11 @@ def test_bounds_domination_suite(tmp_path):
     assert len(lines) == len(rows) + 1
     # slack column is value - empirical, nonnegative throughout
     assert all(float(line.rsplit(",", 1)[1]) >= 0.0 for line in lines[1:])
+
+
+def test_mc_euler_functional_errors_independent_of_chunk():
+    # each sample point draws its paths from its own stream, so chunking cannot change a draw
+    tp = problems.heat_relu_problem(1)
+    a = studies._mc_euler_functional_errors(tp, 4, 8, 300, seed=404, chunk=37)
+    b = studies._mc_euler_functional_errors(tp, 4, 8, 300, seed=404, chunk=256)
+    assert np.array_equal(a, b)
