@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .sde import write_convergence_csv
+
 LOG10_OVERFLOW = 300.0
 
 
@@ -195,15 +197,16 @@ def mc_lp_constants(params: RegularityParams) -> McLpConstants:
 
 def mc_lp_error_bound(params: RegularityParams, d: int, N: int, M: int, mass: float) -> float:
     """L^p(nu (x) P) error bound for the Monte Carlo Euler functional."""
-    k, eta = params.kappa, params.eta
     c_final = mc_lp_constants(params).C_final
+    return c_final * _mc_rate(params, d, N, M) * max(1.0, mass) ** (1.0 / params.p)
+
+
+def _mc_rate(params: RegularityParams, d: int, N: int, M: int) -> float:
+    """The Euler and Monte Carlo terms d^a / sqrt(N) + d^b / sqrt(M) shared by both error bounds."""
+    k, eta = params.kappa, params.eta
     return (
-        c_final
-        * (
-            d ** (k * (k + 4.0) + max(eta, k * (2.0 * k + 1.0))) / math.sqrt(N)
-            + d ** (k + max(eta, k * k)) / math.sqrt(M)
-        )
-        * max(1.0, mass) ** (1.0 / params.p)
+        d ** (k * (k + 4.0) + max(eta, k * (2.0 * k + 1.0))) / math.sqrt(N)
+        + d ** (k + max(eta, k * k)) / math.sqrt(M)
     )
 
 
@@ -274,8 +277,7 @@ def solution_error_bound(params: RegularityParams, d: int, N: int, M: int, delta
         _solution_error_constant(params)
         * max(1.0, mass) ** (1.0 / params.p)
         * (
-            d ** (k * (k + 4.0) + max(eta, k * (2.0 * k + 1.0))) / math.sqrt(N)
-            + d ** (k + max(eta, k * k)) / math.sqrt(M)
+            _mc_rate(params, d, N, M)
             + delta * d ** ((2.0 * k + 3.0) * max(eta, k) + k * k + (7.0 * k + 1.0) / 2.0)
         )
     )
@@ -409,8 +411,9 @@ class BudgetPlan:
         """Materialize integer N, M and the float delta.
 
         Without ``force`` this refuses budgets beyond any practical build
-        size; with it, any finite plan is converted (N and M are exact
-        arbitrary-precision integers).
+        size; with it, any plan within float range is converted (N and M
+        are exact arbitrary-precision integers).  A delta below 10^-300
+        raises OverflowError rather than being rounded.
         """
         if not self.representable and not force:
             raise OverflowError(
@@ -420,10 +423,13 @@ class BudgetPlan:
             )
         if max(self.log10_N, self.log10_M) >= LOG10_OVERFLOW:
             raise OverflowError("planned budget exceeds float range even for reporting")
+        if self.log10_delta < -LOG10_OVERFLOW:
+            raise OverflowError(
+                "planned delta is below float range: log10 delta = %.17g" % self.log10_delta
+            )
         n = max(1, math.ceil(10.0**self.log10_N))
         m = max(1, math.ceil(10.0**self.log10_M))
-        delta = min(1.0, 10.0**self.log10_delta)
-        return Budget(N=n, M=m, delta=max(delta, 1e-300))
+        return Budget(N=n, M=m, delta=min(1.0, 10.0**self.log10_delta))
 
 
 def plan_budget(params: RegularityParams, d: int, eps: float) -> BudgetPlan:
@@ -530,18 +536,8 @@ def _solution_error_constant_mp(params: RegularityParams):
 
 def write_bounds_report(path, rows):
     """Write the bounds-report CSV: (bound_name, formula, inputs, value, empirical, slack)."""
-    with open(path, "w") as fh:
-        fh.write("bound_name,formula,inputs,value,empirical,slack\n")
-        for name, formula, inputs, value, empirical in rows:
-            slack = value - empirical
-            fh.write(
-                "%s,%s,%s,%s,%s,%s\n"
-                % (
-                    name,
-                    formula,
-                    inputs,
-                    format(value, ".17g"),
-                    format(empirical, ".17g"),
-                    format(slack, ".17g"),
-                )
-            )
+    write_convergence_csv(
+        path,
+        [(n, f, i, float(v), float(e), float(v - e)) for n, f, i, v, e in rows],
+        header=("bound_name", "formula", "inputs", "value", "empirical", "slack"),
+    )

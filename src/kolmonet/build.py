@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,26 +320,6 @@ def solve(problem: PdeProblem, eps: float, seed: int, budget_override: Budget | 
     return build_mc_average_net(problem, budget, noise)
 
 
-def _fmt(v: float) -> str:
-    if not math.isfinite(v):
-        raise ValueError("cannot serialize non-finite value %r" % v)
-    return format(v, ".17g")
-
-
-def _write_network(fh, net: Network):
-    fh.write('{"version": %d, "dims": %s, "layers": [' % (
-        nets.NETWORK_FORMAT_VERSION, json.dumps(list(net.dims))))
-    for k, layer in enumerate(net.layers):
-        if k:
-            fh.write(", ")
-        fh.write('{"weight": [')
-        fh.write(", ".join(_fmt(v) for v in layer.weight.ravel().tolist()))
-        fh.write('], "bias": [')
-        fh.write(", ".join(_fmt(v) for v in layer.bias.tolist()))
-        fh.write("]}")
-    fh.write("]}")
-
-
 def serialize(solution: SolutionNet) -> bytes:
     """Versioned text form: provenance block plus the network document.
 
@@ -353,7 +332,7 @@ def serialize(solution: SolutionNet) -> bytes:
     buf.write('{"format": "kolmonet-solution", "version": 1, "provenance": ')
     buf.write(json.dumps(solution.provenance, sort_keys=True))
     buf.write(', "network": ')
-    _write_network(buf, solution.net)
+    nets.write_network(buf, solution.net)
     buf.write("}")
     return buf.getvalue().encode()
 

@@ -31,20 +31,27 @@ EXIT_BOUND_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _apply_config(args, parser_defaults):
-    """Precedence: explicit flags > config file entries > defaults."""
+def _parse(parser, argv):
+    """Parse ``argv``, with the entries of its --config file as flags placed before it.
+
+    So an explicit flag beats a config entry even when it equals the
+    default, and argparse rejects a wrongly typed value with exit 2, as it
+    does for flags.  A key must be a flag name in full: argparse would
+    take an abbreviation.
+    """
+    args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(_fail("cannot read config: %s" % exc))
-    for key, value in cfg.items():
-        key = key.replace("-", "_")
-        if hasattr(args, key) and getattr(args, key) == parser_defaults.get(key):
-            setattr(args, key, value)
-    return args
+    except (OSError, ValueError) as exc:
+        raise ValueError("cannot read config: %s" % exc) from None
+    flags = parser._subparsers._group_actions[0].choices[args.command]._option_string_actions
+    if not isinstance(cfg, dict) or not all("--%s" % key in flags for key in cfg):
+        raise ValueError("config must be a JSON object whose keys are %s flags: %s" % (args.command, cfg))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return parser.parse_args(argv[:1] + ["--%s=%s" % item for item in cfg.items()] + argv[1:])
 
 
 def _fail(msg: str) -> int:
@@ -114,33 +121,25 @@ def cmd_verify(args) -> int:
     N, M, delta, seed = prov["N"], prov["M"], prov["delta"], prov["seed"]
     B = sde.sqrtm_psd(2.0 * pb.A)
     noise = sde.sample_brownian(seed, N, M, pb.d, pb.T, B)
-
-    def mc_fn(ts, xs):
-        out = np.empty(len(ts))
-        for i in range(len(ts)):
-            st = sde.euler_grid(xs[i], pb.drift_net, noise)
-            out[i] = nets.realize(pb.init_net, sde.interpolate(st, ts[i])).mean()
-        return out
-
     p = pb.params.p
     # one set of measure points and one realization of the network serve both errors
     ts, xs = tp.measure.sample(args.samples, args.seed)
     net_vals = nets.realize(net, np.column_stack([ts, xs])).ravel()
     err_exact = sde.lp_distance(net_vals, tp.exact_solution(ts, xs), p)
-    err_mc = sde.lp_distance(net_vals, mc_fn(ts, xs), p)
+    mc_average = sde.mc_values(pb.init_net, pb.drift_net, noise.increments, pb.T, ts, xs).mean(1)
+    err_mc = sde.lp_distance(net_vals, mc_average, p)
     mass_fac = tp.measure.mass ** (1.0 / p)
     bound = bounds.solution_error_bound(pb.params, pb.d, N, M, delta, tp.measure.mass)
     ok = err_exact * mass_fac <= bound + tp.init_accuracy
-    row = "%.17g,%.17g,%.17g,%s" % (err_exact, err_mc, bound, "pass" if ok else "fail")
-    header = "lp_error_vs_exact,lp_error_vs_mc_average,solution_error_bound,status"
+    values = (err_exact, err_mc, bound, "pass" if ok else "fail")
+    header = ("lp_error_vs_exact", "lp_error_vs_mc_average", "solution_error_bound", "status")
     if args.out:
         try:
-            with open(args.out, "w") as fh:
-                fh.write(header + "\n" + row + "\n")
+            sde.write_convergence_csv(args.out, [values], header)
         except OSError as exc:
             return _fail("cannot write %s: %s" % (args.out, exc))
-    print(header)
-    print(row)
+    print(",".join(header))
+    print("%.17g,%.17g,%.17g,%s" % values)
     return EXIT_OK if ok else EXIT_BOUND_VIOLATION
 
 
@@ -150,13 +149,13 @@ def cmd_study(args) -> int:
         rows, ok = studies.calculus_study(instances=args.instances, seed=args.seed)
         header = ("check", "instances", "failures")
     elif name == "euler":
+        moment_paths = max(1000, args.paths // 5)
         rows1, ok1 = studies.strong_interp_study(paths=args.paths, seed=args.seed)
-        rows2, ok2 = studies.moment_study(paths=max(1000, args.paths // 5), seed=args.seed + 1)
+        rows2, ok2 = studies.moment_study(paths=moment_paths, seed=args.seed + 1)
         rows = [("interp", "N=%d" % N, M, est, se, bnd, 0) for N, M, est, se, bnd in rows1]
         rows += [
-            ("moment", "%s;d=%d;q=%g" % (prob, d, q), paths_or, est, se, bnd, viol)
+            ("moment", "%s;d=%d;q=%g" % (prob, d, q), moment_paths, est, se, bnd, viol)
             for prob, d, q, est, se, bnd, viol in rows2
-            for paths_or in (max(1000, args.paths // 5),)
         ]
         ok = ok1 and ok2
         header = ("check", "case", "paths", "estimate", "std_error", "bound", "violations")
@@ -174,7 +173,7 @@ def cmd_study(args) -> int:
             if name == "bounds":
                 bounds.write_bounds_report(args.out, rows)
             else:
-                sde.write_convergence_csv(args.out, rows, header=tuple(str(h) for h in header))
+                sde.write_convergence_csv(args.out, rows, header)
         except OSError as exc:
             return _fail("cannot write %s: %s" % (args.out, exc))
     for row in rows:
@@ -194,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--eta", type=float, default=1.0)
     p_plan.add_argument("--T", type=float, default=1.0)
     p_plan.add_argument("--p", type=float, default=2.0)
-    p_plan.add_argument("--config")
     p_plan.set_defaults(func=cmd_plan)
 
     p_build = sub.add_parser("build", help="construct a solution network and write it")
@@ -205,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--delta", type=float, required=True)
     p_build.add_argument("--seed", type=int, default=0)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--config")
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="error report for a written network")
@@ -215,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=512)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out")
-    p_verify.add_argument("--config")
     p_verify.set_defaults(func=cmd_verify)
 
     p_study = sub.add_parser("study", help="run a property/convergence suite")
@@ -224,21 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--instances", type=int, default=500)
     p_study.add_argument("--seed", type=int, default=0)
     p_study.add_argument("--out")
-    p_study.add_argument("--config")
     p_study.set_defaults(func=cmd_study)
 
+    for sub_parser in (p_plan, p_build, p_verify, p_study):
+        sub_parser.add_argument("--config")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    defaults = {
-        action.dest: action.default
-        for action in parser._subparsers._group_actions[0].choices[args.command]._actions
-    }
-    args = _apply_config(args, defaults)
     try:
+        args = _parse(parser, argv)
         return args.func(args)
     except (ValueError, OverflowError) as exc:
         return _fail(str(exc))

@@ -13,6 +13,7 @@ used when a scheme is emulated in a single space-time network).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -97,10 +98,6 @@ class Network:
     @property
     def out_dim(self):
         return self.layers[-1].out_dim
-
-    @property
-    def width(self):
-        return max(self.dims)
 
 
 def param_count(net: Network) -> int:
@@ -203,10 +200,7 @@ def extend_length(net: Network, target_depth: int) -> Network:
 
 def select_inputs(net: Network, indices, in_dim: int) -> Network:
     """Rewire ``net`` to read coordinates ``indices`` of an R^in_dim input."""
-    sel = np.zeros((len(indices), in_dim))
-    for row, j in enumerate(indices):
-        sel[row, j] = 1.0
-    return compose(net, affine_net(sel))
+    return compose(net, affine_net(np.eye(in_dim)[list(indices)]))
 
 
 def _block_diag(mats):
@@ -222,7 +216,7 @@ def _block_diag(mats):
 
 
 def _padded_group(nets):
-    nets = [n for n in nets]
+    nets = list(nets)
     if not nets:
         raise ValueError("need at least one network")
     in_dim = nets[0].in_dim
@@ -231,6 +225,28 @@ def _padded_group(nets):
             raise ValueError("networks must share the input dimension")
     depth = max(n.depth for n in nets)
     return [extend_length(n, depth) for n in nets], depth
+
+
+def _stacked_layers(nets, depth: int) -> list:
+    """First ``depth`` layers of equal-depth nets run side by side on a shared input.
+
+    The first layers stack vertically (they read the same input); later
+    layers are block diagonal, so each block only sees its own net.
+    """
+    layers = [
+        Layer(
+            np.vstack([n.layers[0].weight for n in nets]),
+            np.concatenate([n.layers[0].bias for n in nets]),
+        )
+    ]
+    for k in range(1, depth):
+        layers.append(
+            Layer(
+                _block_diag([n.layers[k].weight for n in nets]),
+                np.concatenate([n.layers[k].bias for n in nets]),
+            )
+        )
+    return layers
 
 
 def average_nets(nets, weights) -> Network:
@@ -256,19 +272,7 @@ def average_nets(nets, weights) -> Network:
         w = sum(wt * n.layers[0].weight for wt, n in zip(weights, nets))
         b = sum(wt * n.layers[0].bias for wt, n in zip(weights, nets))
         return Network((Layer(w, b),))
-    layers = [
-        Layer(
-            np.vstack([n.layers[0].weight for n in nets]),
-            np.concatenate([n.layers[0].bias for n in nets]),
-        )
-    ]
-    for k in range(1, depth - 1):
-        layers.append(
-            Layer(
-                _block_diag([n.layers[k].weight for n in nets]),
-                np.concatenate([n.layers[k].bias for n in nets]),
-            )
-        )
+    layers = _stacked_layers(nets, depth - 1)
     layers.append(
         Layer(
             np.hstack([wt * n.layers[-1].weight for wt, n in zip(weights, nets)]),
@@ -286,29 +290,7 @@ def parallel_stack(nets) -> Network:
     nets, depth = _padded_group(nets)
     if len(nets) == 1:
         return nets[0]
-    if depth == 1:
-        return Network(
-            (
-                Layer(
-                    np.vstack([n.layers[0].weight for n in nets]),
-                    np.concatenate([n.layers[0].bias for n in nets]),
-                ),
-            )
-        )
-    layers = [
-        Layer(
-            np.vstack([n.layers[0].weight for n in nets]),
-            np.concatenate([n.layers[0].bias for n in nets]),
-        )
-    ]
-    for k in range(1, depth):
-        layers.append(
-            Layer(
-                _block_diag([n.layers[k].weight for n in nets]),
-                np.concatenate([n.layers[k].bias for n in nets]),
-            )
-        )
-    return Network(tuple(layers))
+    return Network(tuple(_stacked_layers(nets, depth)))
 
 
 def product_depth_stages(eps: float, R: float) -> int:
@@ -400,40 +382,29 @@ def hat_time_net(grid, n: int) -> Network:
 NETWORK_FORMAT_VERSION = 1
 
 
-def network_to_doc(net: Network) -> dict:
-    """Plain-dict form of a network (used by the text serialization)."""
-    return {
-        "version": NETWORK_FORMAT_VERSION,
-        "dims": list(net.dims),
-        "layers": [
-            {"weight": layer.weight.ravel().tolist(), "bias": layer.bias.tolist()}
-            for layer in net.layers
-        ],
-    }
+def _fmt(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError("cannot serialize non-finite value %r" % v)
+    return format(v, ".17g")
 
 
-def save_network(net: Network, path):
-    """Write the versioned structured-text form of a bare network."""
-    import json
+def write_network(fh, net: Network):
+    """Write the versioned text form of ``net`` to the text stream ``fh``.
 
-    doc = network_to_doc(net)
-    with open(path, "w") as fh:
-        fh.write('{"version": %d, "dims": %s, "layers": [' % (doc["version"], json.dumps(doc["dims"])))
-        for k, entry in enumerate(doc["layers"]):
-            if k:
-                fh.write(", ")
-            fh.write('{"weight": [%s], "bias": [%s]}' % (
-                ", ".join(format(v, ".17g") for v in entry["weight"]),
-                ", ".join(format(v, ".17g") for v in entry["bias"]),
-            ))
+    Reals carry 17 significant digits, so ``network_from_doc`` of the
+    parsed document is bit-exact; non-finite values raise ValueError.
+    """
+    fh.write('{"version": %d, "dims": %s, "layers": [' % (
+        NETWORK_FORMAT_VERSION, json.dumps(list(net.dims))))
+    for k, layer in enumerate(net.layers):
+        if k:
+            fh.write(", ")
+        fh.write('{"weight": [')
+        fh.write(", ".join(_fmt(v) for v in layer.weight.ravel().tolist()))
+        fh.write('], "bias": [')
+        fh.write(", ".join(_fmt(v) for v in layer.bias.tolist()))
         fh.write("]}")
-
-
-def load_network(path) -> Network:
-    import json
-
-    with open(path) as fh:
-        return network_from_doc(json.load(fh))
+    fh.write("]}")
 
 
 def network_from_doc(doc: dict) -> Network:

@@ -2,8 +2,9 @@
 
 Implements the uniform-grid Euler scheme with piecewise-linear time
 interpolation, Brownian increment sampling on counter-based substreams,
-a Feynman-Kac Monte Carlo evaluator for the associated Kolmogorov PDE,
-and sampled L^p distances over a uniform space-time box.
+the one Monte Carlo evaluator of the interpolated scheme (``mc_values``)
+and the Feynman-Kac estimator built on it, and sampled L^p distances
+over a uniform space-time box.
 
 Randomness is reproducible and order independent: path ``m`` of a grid
 draws from a Philox4x64-10 stream keyed by (seed mod 2^64, purpose << 48 | m),
@@ -23,7 +24,7 @@ give the same bits, and the tests compare them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -49,6 +50,8 @@ _MASK64 = 2**64 - 1
 _CHUNK_BLOCKS = 1 << 14
 # From this many words per stream on, numpy's per-stream C generator is faster.
 _ROW_STREAM_WORDS = 512
+# Grid values (points x paths x (steps + 1) x d) that ``mc_values`` holds per chunk.
+_MC_CHUNK_ELEMENTS = 1 << 22
 
 
 def _stream(seed: int, tag: int, index: int) -> np.random.Generator:
@@ -168,26 +171,27 @@ class UniformSpaceTimeMeasure:
 
 @dataclass(frozen=True)
 class BrownianGrid:
-    """Per-path, per-step increments B(W_{(n+1)T/N} - W_{nT/N}) on a uniform grid."""
+    """Per-path, per-step increments B(W_{(n+1)T/N} - W_{nT/N}) on a uniform grid.
 
-    seed: int
+    ``seed`` and ``diffusion`` are None on a grid assembled from given increments.
+    """
+
+    seed: int | None
     N: int
     M: int
     d: int
     T: float
     increments: np.ndarray  # (M, N, d)
-    diffusion: np.ndarray  # the matrix B, (d, k)
-
-    @property
-    def step(self) -> float:
-        return self.T / self.N
+    diffusion: np.ndarray | None  # the matrix B, (d, k)
 
     @property
     def grid(self) -> np.ndarray:
         return np.arange(self.N + 1) * (self.T / self.N)
 
-    def path(self, m: int) -> np.ndarray:
-        return self.increments[m]
+    def coarsen(self, factor: int) -> BrownianGrid:
+        """The grid of every ``factor``-th node: each increment sums ``factor`` consecutive ones."""
+        inc = self.increments.reshape(self.M, self.N // factor, factor, self.d).sum(axis=2)
+        return replace(self, N=self.N // factor, increments=inc)
 
 
 def sample_brownian(seed: int, N: int, M: int, d: int, T: float, B=None) -> BrownianGrid:
@@ -216,76 +220,104 @@ def sample_brownian(seed: int, N: int, M: int, d: int, T: float, B=None) -> Brow
     return BrownianGrid(seed=seed, N=N, M=M, d=d, T=float(T), increments=increments, diffusion=B)
 
 
-def _drift_fn(drift):
-    if drift is None:
+def _as_fn(fn):
+    """A callable on (batch, d) arrays from a Network, a callable, or None (zero)."""
+    if fn is None:
         return lambda y: np.zeros_like(y)
-    if isinstance(drift, Network):
-        return lambda y: realize(drift, y)
-    return drift
+    if isinstance(fn, Network):
+        return lambda y: realize(fn, y)
+    return fn
 
 
 @dataclass(frozen=True)
 class SchemeState:
-    """Euler grid values for all paths, plus the cached drift evaluations."""
+    """Euler grid values for all paths."""
 
     grid_values: np.ndarray  # (M, N+1, d)
-    drift_values: np.ndarray  # (M, N, d)
     noise: BrownianGrid
-    x0: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return self.noise.N
-
-    @property
-    def T(self) -> float:
-        return self.noise.T
-
-    def path(self, m: int) -> np.ndarray:
-        return self.grid_values[m]
 
 
 def euler_grid(x, drift, noise: BrownianGrid) -> SchemeState:
     """Run the Euler recursion Y_{n+1} = Y_n + (T/N) mu(Y_n) + dW_n for all paths.
 
-    ``drift`` may be a callable on (batch, d) arrays, a Network, or None
-    for zero drift.
+    ``x`` is one start value of shape (d,) for all paths, or one per path,
+    shape (M, d).  ``drift`` may be a callable on (batch, d) arrays, a
+    Network, or None for zero drift.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (noise.d,):
-        raise ValueError("start value must have shape (%d,)" % noise.d)
-    mu = _drift_fn(drift)
-    h = noise.step
     M, N, d = noise.increments.shape
+    if x.shape not in ((d,), (M, d)):
+        raise ValueError("start value must have shape (%d,) or (%d, %d)" % (d, M, d))
+    mu = _as_fn(drift)
+    h = noise.T / noise.N
     y = np.empty((M, N + 1, d))
-    dv = np.empty((M, N, d))
     y[:, 0] = x
     for n in range(N):
-        dv[:, n] = np.asarray(mu(y[:, n]), dtype=np.float64).reshape(M, d)
-        y[:, n + 1] = y[:, n] + h * dv[:, n] + noise.increments[:, n]
+        drift_n = np.asarray(mu(y[:, n]), dtype=np.float64).reshape(M, d)
+        y[:, n + 1] = y[:, n] + h * drift_n + noise.increments[:, n]
     y.flags.writeable = False
-    dv.flags.writeable = False
-    return SchemeState(grid_values=y, drift_values=dv, noise=noise, x0=x)
+    return SchemeState(grid_values=y, noise=noise)
 
 
-def interpolate(state: SchemeState, t: float) -> np.ndarray:
+def interpolate(state: SchemeState, t) -> np.ndarray:
     """Piecewise-linear value Y_t = (1 - rho) Y_{tau_n} + rho Y_{tau_{n+1}}.
 
-    Returns shape (M, d).  At grid times the stored grid value is
-    returned bitwise.
+    ``t`` is one time for all paths or one time per path, shape (M,).
+    Returns shape (M, d).  At grid times, and at t = T, the stored grid
+    value is returned bitwise.
     """
-    T, N = state.T, state.N
-    if not (0.0 <= t <= T):
-        raise ValueError("time %g outside [0, %g]" % (t, T))
-    n = min(int(np.floor(t * N / T)), N - 1)
-    grid = state.noise.grid
+    T, N = state.noise.T, state.noise.N
+    y = state.grid_values
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), y.shape[:1])
+    inside = (0.0 <= t) & (t <= T)
+    if not inside.all():
+        raise ValueError("time %g outside [0, %g]" % (t[~inside][0], T))
+    n = np.minimum(np.floor(t * N / T).astype(np.intp), N - 1)
+    rows = np.arange(len(t))
+    lo, hi = y[rows, n], y[rows, n + 1]
+    rho = (t * N / T - n)[:, None]
+    out = (1.0 - rho) * lo + rho * hi
     # exact grid hits bypass the convex combination
-    if t == grid[n]:
-        return state.grid_values[:, n]
-    if t == grid[n + 1]:
-        return state.grid_values[:, n + 1]
-    rho = t * N / T - n
-    return (1.0 - rho) * state.grid_values[:, n] + rho * state.grid_values[:, n + 1]
+    grid = state.noise.grid
+    out = np.where((t == grid[n])[:, None], lo, out)
+    return np.where(((t == grid[n + 1]) | (t == T))[:, None], hi, out)
+
+
+def _point_chunks(K: int, M: int, N: int, d: int):
+    """Slices over K points of at most _MC_CHUNK_ELEMENTS grid values each (at least one point)."""
+    step = max(1, _MC_CHUNK_ELEMENTS // (M * (N + 1) * d))
+    return [slice(lo, min(lo + step, K)) for lo in range(0, K, step)]
+
+
+def mc_values(f0, drift, increments, T: float, t, x) -> np.ndarray:
+    """Values f0(Y_t^{m, x_i}) of the interpolated Euler scheme, shape (K, M).
+
+    Point i starts the scheme at x[i] (x has shape (K, d)) and reads it at
+    time t[i].  ``increments`` are shared by all points, shape (M, N, d),
+    or drawn per point, shape (K, M, N, d).  ``f0`` and ``drift`` may be
+    Networks or callables on (batch, d) arrays.  Row i of ``.mean(1)`` is
+    the Monte Carlo average (1/M) sum_m f0(Y_t^{m, x_i}).  Points are run
+    in chunks of at most _MC_CHUNK_ELEMENTS grid values; every value is
+    bitwise the one a single-point ``euler_grid`` and ``interpolate`` give.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    K = len(x)
+    t = np.asarray(t, dtype=np.float64).reshape(K)
+    increments = np.asarray(increments, dtype=np.float64)
+    if increments.ndim == 3:
+        increments = np.broadcast_to(increments, (K,) + increments.shape)
+    if increments.ndim != 4 or len(increments) != K or x.shape != (K, increments.shape[3]):
+        raise ValueError("need x of shape (K, d) and increments of shape (M, N, d) or (K, M, N, d)")
+    _, M, N, d = increments.shape
+    f = _as_fn(f0)
+    out = np.empty((K, M))
+    for s in _point_chunks(K, M, N, d):
+        k = len(x[s])
+        inc = increments[s].reshape(k * M, N, d)
+        noise = BrownianGrid(seed=None, N=N, M=k * M, d=d, T=float(T), increments=inc, diffusion=None)
+        state = euler_grid(np.repeat(x[s], M, axis=0), drift, noise)
+        out[s] = np.asarray(f(interpolate(state, np.repeat(t[s], M)))).reshape(k, M)
+    return out
 
 
 def feynman_kac(f0, drift, A, t: float, x, paths: int, steps: int, seed: int):
@@ -306,8 +338,7 @@ def feynman_kac(f0, drift, A, t: float, x, paths: int, steps: int, seed: int):
         2.0 * A * np.eye(d)
     )
     noise = sample_brownian(seed, steps, paths, d, t, B)
-    state = euler_grid(x, drift, noise)
-    vals = np.asarray(f0(state.grid_values[:, -1])).ravel()
+    vals = mc_values(f0, drift, noise.increments, t, [t], x[None, :])[0]
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(paths)) if paths > 1 else float("inf")
     return est, se

@@ -93,10 +93,7 @@ def strong_interp_study(paths: int = 100_000, N: int = 8, seed: int = 101):
     T, d = 1.0, 1
     h = T / N
     fine = sde.sample_brownian(seed, 2 * N, paths, d, T, np.eye(d))
-    coarse_inc = fine.increments[:, 0::2] + fine.increments[:, 1::2]
-    coarse = sde.BrownianGrid(
-        seed=seed, N=N, M=paths, d=d, T=T, increments=coarse_inc, diffusion=np.eye(d)
-    )
+    coarse = fine.coarsen(2)
     drift = lambda y: -y
     state = sde.euler_grid(np.full(d, 0.5), drift, coarse)
     n = 0
@@ -104,7 +101,7 @@ def strong_interp_study(paths: int = 100_000, N: int = 8, seed: int = 101):
     y_mid = sde.interpolate(state, t_mid)
     z_mid = (
         state.grid_values[:, n]
-        + 0.5 * h * state.drift_values[:, n]
+        + 0.5 * h * drift(state.grid_values[:, n])
         + fine.increments[:, 2 * n]
     )
     sq = ((y_mid - z_mid) ** 2).sum(axis=1)
@@ -202,11 +199,7 @@ def weak_error_study(
         nf = refine * N
         fine = sde.sample_brownian(seed + j, nf, paths, d, pb.T, B)
         xs = sde.euler_grid(x0, lambda y: -y, fine)
-        coarse_inc = fine.increments.reshape(paths, N, refine, d).sum(axis=2)
-        coarse = sde.BrownianGrid(
-            seed=seed + j, N=N, M=paths, d=d, T=pb.T, increments=coarse_inc, diffusion=B
-        )
-        ys = sde.euler_grid(x0, lambda y: -y + drift_shift, coarse)
+        ys = sde.euler_grid(x0, lambda y: -y + drift_shift, fine.coarsen(refine))
         diff = xs.grid_values[:, -1].sum(axis=1) - ys.grid_values[:, -1].sum(axis=1)
         est = float(diff.mean())
         se = float(diff.std(ddof=1) / math.sqrt(paths))
@@ -228,42 +221,30 @@ def weak_error_study(
 # Monte Carlo Euler functional error (heat problem, closed-form reference)
 
 
-def _mc_euler_functional_errors(tp, N, M, K, seed, chunk=256):
+def _mc_euler_functional_errors(tp, N, M, K, seed):
     """Sampled squared errors of the MC Euler functional against the exact solution.
 
     Fresh Brownian paths per sample point (the estimator targets the
     P (x) nu integrated error): point i draws its M x N x k normals from
     the stream keyed (seed, 7 << 48 | i), so the result does not depend on
-    ``chunk``.  Vectorized over (point, path) pairs.
+    how the points are chunked.  Points run in the chunks of ``sde.mc_values``.
     """
     pb = tp.problem
     d = pb.d
     B = sde.sqrtm_psd(2.0 * pb.A)
-    T = pb.T
-    h = T / N
     ts, xs = tp.measure.sample(K, seed)
     u_vals = tp.exact_solution(ts, xs)
     sq_errors = np.empty(K)
-    scale = math.sqrt(h)
+    scale = math.sqrt(pb.T / N)
     k_noise = B.shape[1]
-    for start in range(0, K, chunk):
-        stop = min(start + chunk, K)
-        kk = stop - start
-        z = sde._philox_normals(seed, sde._TAG_POINT_PATHS, np.arange(start, stop), M * N * k_noise)
-        inc = scale * (z.reshape(kk * M, N, k_noise) @ B.T)
-        y = np.repeat(xs[start:stop], M, axis=0)
-        ygrid = np.empty((kk * M, N + 1, d))
-        ygrid[:, 0] = y
-        for n in range(N):
-            mu = nets.realize(pb.drift_net, ygrid[:, n])
-            ygrid[:, n + 1] = ygrid[:, n] + h * mu + inc[:, n]
-        tcol = np.repeat(ts[start:stop], M)
-        n_idx = np.minimum((tcol * N / T).astype(int), N - 1)
-        rho = tcol * N / T - n_idx
-        rows = np.arange(kk * M)
-        y_t = (1 - rho)[:, None] * ygrid[rows, n_idx] + rho[:, None] * ygrid[rows, n_idx + 1]
-        vals = nets.realize(pb.init_net, y_t).ravel().reshape(kk, M).mean(axis=1)
-        sq_errors[start:stop] = (vals - u_vals[start:stop]) ** 2
+    for s in sde._point_chunks(K, M, N, d):
+        index = np.arange(K)[s]
+        z = sde._philox_normals(seed, sde._TAG_POINT_PATHS, index, M * N * k_noise)
+        inc = scale * (z.reshape(len(index) * M, N, k_noise) @ B.T)
+        vals = sde.mc_values(
+            pb.init_net, pb.drift_net, inc.reshape(len(index), M, N, d), pb.T, ts[s], xs[s]
+        ).mean(axis=1)
+        sq_errors[s] = (vals - u_vals[s]) ** 2
     return sq_errors
 
 
@@ -401,7 +382,6 @@ def bounds_study(seed: int = 505):
     psi = build.build_euler_net(
         tp1.problem.drift_net, noise.increments[0], noise.grid, budget.delta
     )
-    state = sde.euler_grid(np.zeros(1), tp1.problem.drift_net, noise)
     worst_ratio = 0.0
     for t in np.linspace(0.0, 1.0, 9):
         for xv in (-1.0, 0.0, 1.5):

@@ -185,6 +185,13 @@ def test_plan_budget_minimums_and_scaling():
     assert half.log10_N - plan.log10_N == pytest.approx(math.log10(4.0), abs=1e-9)
 
 
+def test_plan_budget_delta_below_float_range_raises():
+    plan = bounds.plan_budget(bounds.RegularityParams(T=1.0, kappa=1.0, eta=10.0), 50_000, 1.0)
+    assert plan.log10_delta == pytest.approx(-321.29, abs=0.01)
+    with pytest.raises(OverflowError, match="log10 delta = -321.2"):
+        plan.budget(force=True)
+
+
 def test_plan_budget_fixture_d10():
     # independent evaluation of the displays in plain float arithmetic
     k = eta = 1.0

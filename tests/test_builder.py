@@ -1,5 +1,6 @@
 """Builder contracts: emulation error, adaptedness, growth, averaging, IO."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -280,3 +281,12 @@ def test_path_net_param_count_within_display_bound():
         2, 1, bounds.product_size_budget(delta, 3.0), drift.depth, nets.param_count(drift)
     )
     assert nets.param_count(psi) <= cap
+
+
+def test_serialized_bytes_pinned():
+    # criterion 9's OU build; the digest pins the v1 writer's bytes across refactors
+    tp = problems.ou_linear_problem(1)
+    budget = bounds.Budget(N=2, M=2, delta=2.0**-4)
+    data = build.serialize(build.solve(tp.problem, 1.0, seed=31415, budget_override=budget))
+    assert len(data) == 67_416
+    assert hashlib.sha256(data).hexdigest() == "7a1b985f70dd9f4f0c549227fa5924fbca67b587d5bfd9b34100e15e02dc3e63"

@@ -140,3 +140,44 @@ def test_verify_realizes_the_network_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(nets, "realize", counting)
     assert run(["verify", "--in", str(out), "--problem", "heat_relu", "--d", "1", "--samples", "64", "--seed", "5"]) == 0
     assert calls == [(64, 2)]
+
+
+def _plan_log10_params(capsys, argv):
+    assert run(argv) == 0
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("log10_guaranteed_params")]
+    return float(line[0].split()[1])
+
+
+def test_explicit_flag_at_default_beats_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 0.5}))
+    explicit = _plan_log10_params(capsys, ["plan", "--eps", "1.0", "--config", str(cfg)])
+    assert explicit == _plan_log10_params(capsys, ["plan", "--eps", "1.0"])
+    assert _plan_log10_params(capsys, ["plan", "--config", str(cfg)]) == _plan_log10_params(
+        capsys, ["plan", "--eps", "0.5"]
+    )
+    assert explicit != _plan_log10_params(capsys, ["plan", "--eps", "0.5"])
+
+
+def test_config_unknown_key_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for key in ("epz", "ep"):  # "ep" would pass argparse as an abbreviation of --eps
+        cfg.write_text(json.dumps({key: 0.5}))
+        assert run(["plan", "--eps", "1.0", "--config", str(cfg)]) == 2
+        assert "'%s'" % key in capsys.readouterr().err
+
+
+def test_config_wrongly_typed_value_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": "abc"}))
+    with pytest.raises(SystemExit) as exc:
+        run(["plan", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def test_config_not_an_object_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert run(["plan", "--config", str(cfg)]) == 2
+    assert "JSON object" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 """Network calculus: exactness, algebra, and the two special constructions."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -368,21 +371,32 @@ def test_hat_degenerate_grid():
 # document round trip
 
 
+def _network_doc(net):
+    buf = io.StringIO()
+    nets.write_network(buf, net)
+    return json.loads(buf.getvalue())
+
+
 def test_network_doc_round_trip():
     gen = np.random.default_rng(13)
     net = random_net(gen, (2, 4, 3))
-    doc = nets.network_to_doc(net)
-    back = nets.network_from_doc(doc)
+    back = nets.network_from_doc(_network_doc(net))
     for a, b in zip(net.layers, back.layers):
         assert np.array_equal(a.weight, b.weight)
         assert np.array_equal(a.bias, b.bias)
 
 
 def test_network_doc_rejects_bad_dims():
-    doc = nets.network_to_doc(nets.identity_net(2))
+    doc = _network_doc(nets.identity_net(2))
     doc["dims"] = [2, 4]
     with pytest.raises(ValueError):
         nets.network_from_doc(doc)
+
+
+def test_write_network_rejects_non_finite():
+    net = nets.affine_net(np.array([[np.inf]]))
+    with pytest.raises(ValueError):
+        nets.write_network(io.StringIO(), net)
 
 
 def test_layer_validation():
@@ -400,8 +414,10 @@ def test_network_file_round_trip(tmp_path):
     gen = np.random.default_rng(14)
     net = random_net(gen, (3, 5, 2))
     path = tmp_path / "net.json"
-    nets.save_network(net, path)
-    back = nets.load_network(path)
+    with open(path, "w") as fh:
+        nets.write_network(fh, net)
+    with open(path) as fh:
+        back = nets.network_from_doc(json.load(fh))
     for a, b in zip(net.layers, back.layers):
         assert np.array_equal(a.weight, b.weight)
         assert np.array_equal(a.bias, b.bias)

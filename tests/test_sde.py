@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from kolmonet import bounds, sde
+from kolmonet import bounds, nets, problems, sde
 
 
 def test_increments_centered():
@@ -113,10 +113,12 @@ def test_euler_constant_drift_closed_form():
 
 
 def test_interpolate_grid_points_bitwise():
-    grid = sde.sample_brownian(4, 5, 30, 2, 1.0)
-    state = sde.euler_grid(np.ones(2), lambda y: -0.5 * y, grid)
-    for n in range(6):
-        assert np.array_equal(sde.interpolate(state, grid.grid[n]), state.grid_values[:, n])
+    for N, T in [(5, 1.0), (7, 0.49)]:  # 7 (0.49 / 7) != 0.49, and 0.49 * 7 / 0.49 != 7
+        grid = sde.sample_brownian(4, N, 30, 2, T)
+        state = sde.euler_grid(np.ones(2), lambda y: -0.5 * y, grid)
+        for n in range(N + 1):
+            assert np.array_equal(sde.interpolate(state, grid.grid[n]), state.grid_values[:, n])
+        assert np.array_equal(sde.interpolate(state, T), state.grid_values[:, N])
 
 
 def test_interpolate_midpoint_mean():
@@ -146,6 +148,85 @@ def test_interpolate_rejects_outside_horizon():
     state = sde.euler_grid(np.zeros(1), None, grid)
     with pytest.raises(ValueError):
         sde.interpolate(state, 1.5)
+
+
+def test_interpolate_per_path_times_match_scalar_calls():
+    grid = sde.sample_brownian(4, 5, 30, 2, 1.0)
+    state = sde.euler_grid(np.ones(2), lambda y: -0.5 * y, grid)
+    ts = np.random.default_rng(1).uniform(0.0, 1.0, 30)
+    ts[:7] = np.append(grid.grid, 1.0)
+    got = sde.interpolate(state, ts)
+    for m, t in enumerate(ts):
+        assert np.array_equal(got[m], sde.interpolate(state, t)[m])
+    with pytest.raises(ValueError):
+        sde.interpolate(state, np.append(ts[:-1], np.nan))
+
+
+def test_euler_grid_per_path_start_values():
+    grid = sde.sample_brownian(2, 4, 6, 2, 1.0)
+    xs = np.arange(12.0).reshape(6, 2) / 7
+    state = sde.euler_grid(xs, lambda y: -y, grid)
+    for m in range(6):
+        assert np.array_equal(state.grid_values[m], sde.euler_grid(xs[m], lambda y: -y, grid).grid_values[m])
+    with pytest.raises(ValueError):
+        sde.euler_grid(xs[:5], None, grid)
+
+
+def _per_point_values(f0, drift, increments, T, ts, xs):
+    # the reference: one euler_grid and one interpolate per point, on that point's paths
+    out = []
+    for i, (t, x) in enumerate(zip(ts, xs)):
+        inc = increments if increments.ndim == 3 else increments[i]
+        M, N, d = inc.shape
+        noise = sde.BrownianGrid(seed=None, N=N, M=M, d=d, T=T, increments=inc, diffusion=None)
+        out.append(np.asarray(f0(sde.interpolate(sde.euler_grid(x, drift, noise), t))).ravel())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name, d, N, M", [("heat_relu", 1, 8, 64), ("ou_linear", 2, 4, 16), ("ou_linear", 5, 3, 8)])
+@pytest.mark.parametrize("per_point", [False, True])
+def test_mc_values_bitwise_equal_to_per_point_loop(monkeypatch, name, d, N, M, per_point):
+    tp = problems.get_problem(name, d)
+    pb = tp.problem
+    ts, xs = tp.measure.sample(40, 3)
+    ts[: N + 2] = np.append(np.arange(N + 1) * (pb.T / N), pb.T)  # grid points and t = T
+    B = sde.sqrtm_psd(2.0 * pb.A)
+    if per_point:
+        inc = np.stack([sde.sample_brownian(100 + i, N, M, d, pb.T, B).increments for i in range(40)])
+    else:
+        inc = sde.sample_brownian(100, N, M, d, pb.T, B).increments
+    want = _per_point_values(lambda y: nets.realize(pb.init_net, y), pb.drift_net, inc, pb.T, ts, xs)
+    monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", 7 * M * (N + 1) * d)  # chunks of 7 points
+    got = sde.mc_values(pb.init_net, pb.drift_net, inc, pb.T, ts, xs)
+    assert got.shape == (40, M)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got.mean(1), np.array([w.mean() for w in want]))
+
+
+def test_mc_values_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):  # per-point increments for 3 points, 2 points given
+        sde.mc_values(None, None, np.zeros((3, 4, 2, 1)), 1.0, np.zeros(2), np.zeros((2, 1)))
+    with pytest.raises(ValueError):  # d = 1 increments, d = 3 start values
+        sde.mc_values(None, None, np.zeros((4, 2, 1)), 1.0, np.zeros(2), np.zeros((2, 3)))
+
+
+def test_feynman_kac_pinned_outputs():
+    # (estimate, std_error) as computed before feynman_kac ran through mc_values
+    quad, ou5 = problems.quadratic_heat_problem(3).problem, problems.ou_linear_problem(5).problem
+    cases = [
+        (lambda y: np.maximum(y, 0.0).sum(axis=1), None, np.eye(2), 0.5, [1.0, -1.0], 16, 21,
+         (1.1654416734340534, 0.019952308742969025)),
+        (lambda y: y.sum(axis=1), lambda y: -y, 0.5 * np.eye(1), 1.0, [0.8], 7, 22,
+         (0.28338780841517414, 0.014928376988881945)),
+        (lambda y: y.sum(axis=1), lambda y: -y, 0.5 * np.eye(1), 0.49, [0.8], 7, 25,  # last node != t
+         (0.46927838454395976, 0.012984650341902725)),
+        (lambda y: nets.realize(quad.init_net, y).ravel(), quad.drift_net, quad.A, 0.7, [0.1, -0.2, 0.3], 5, 23,
+         (4.359336907161063, 0.07992567759533108)),
+        (lambda y: nets.realize(ou5.init_net, y).ravel(), ou5.drift_net, ou5.A, 0.3, [0.4] * 5, 3, 24,
+         (1.4481503438164054, 0.02460109902417688)),
+    ]
+    for f0, drift, A, t, x, steps, seed, want in cases:
+        assert sde.feynman_kac(f0, drift, A, t, np.array(x), 2000, steps, seed) == want
 
 
 def test_feynman_kac_degenerate_exact():

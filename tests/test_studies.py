@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from kolmonet import bounds, problems, studies
+from kolmonet import bounds, problems, sde, studies
 
 
 def test_bounds_domination_suite(tmp_path):
@@ -17,9 +17,11 @@ def test_bounds_domination_suite(tmp_path):
     assert all(float(line.rsplit(",", 1)[1]) >= 0.0 for line in lines[1:])
 
 
-def test_mc_euler_functional_errors_independent_of_chunk():
+def test_mc_euler_functional_errors_independent_of_chunk(monkeypatch):
     # each sample point draws its paths from its own stream, so chunking cannot change a draw
     tp = problems.heat_relu_problem(1)
-    a = studies._mc_euler_functional_errors(tp, 4, 8, 300, seed=404, chunk=37)
-    b = studies._mc_euler_functional_errors(tp, 4, 8, 300, seed=404, chunk=256)
+    monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", 37 * 8 * 5)  # 37 points of 8 paths, 4 steps
+    a = studies._mc_euler_functional_errors(tp, 4, 8, 300, seed=404)
+    monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", 1 << 22)  # one chunk
+    b = studies._mc_euler_functional_errors(tp, 4, 8, 300, seed=404)
     assert np.array_equal(a, b)
