@@ -337,9 +337,13 @@ def serialize(solution: SolutionNet) -> bytes:
     return buf.getvalue().encode()
 
 
+def _reject_constant(name):
+    raise SolutionNetFormatError("non-finite value %s in the document" % name)
+
+
 def deserialize(data: bytes) -> SolutionNet:
     try:
-        doc = json.loads(data.decode())
+        doc = json.loads(data.decode(), parse_constant=_reject_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SolutionNetFormatError("not a solution-network document: %s" % exc) from None
     if not isinstance(doc, dict) or doc.get("format") != "kolmonet-solution":

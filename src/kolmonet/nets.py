@@ -388,11 +388,22 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+def _fmt_values(a: np.ndarray) -> str:
+    # Layers share few distinct values, so each is formatted once.  unique
+    # merges -0.0 with 0.0, which is safe because Layer stores no -0.0;
+    # NaN and +-inf stay among the distinct values, so _fmt still raises.
+    distinct, inverse = np.unique(a, return_inverse=True)
+    tokens = np.array([_fmt(v) for v in distinct.tolist()], dtype=object)
+    return ", ".join(tokens[inverse.ravel()].tolist())
+
+
 def write_network(fh, net: Network):
     """Write the versioned text form of ``net`` to the text stream ``fh``.
 
     Reals carry 17 significant digits, so ``network_from_doc`` of the
     parsed document is bit-exact; non-finite values raise ValueError.
+    Each distinct value of a layer's weight or bias is formatted once;
+    the bytes are those of formatting every entry in row-major order.
     """
     fh.write('{"version": %d, "dims": %s, "layers": [' % (
         NETWORK_FORMAT_VERSION, json.dumps(list(net.dims))))
@@ -400,9 +411,9 @@ def write_network(fh, net: Network):
         if k:
             fh.write(", ")
         fh.write('{"weight": [')
-        fh.write(", ".join(_fmt(v) for v in layer.weight.ravel().tolist()))
+        fh.write(_fmt_values(layer.weight))
         fh.write('], "bias": [')
-        fh.write(", ".join(_fmt(v) for v in layer.bias.tolist()))
+        fh.write(_fmt_values(layer.bias))
         fh.write("]}")
     fh.write("]}")
 
@@ -424,5 +435,7 @@ def network_from_doc(doc: dict) -> Network:
         bias = np.asarray(entry["bias"], dtype=np.float64)
         if bias.size != rows:
             raise ValueError("layer %d bias size mismatch" % k)
+        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+            raise ValueError("layer %d holds a non-finite value" % k)
         layers.append(Layer(weight.reshape(rows, cols), bias))
     return Network(tuple(layers))

@@ -251,6 +251,25 @@ def test_deserialize_corrupted_header():
         build.deserialize(data.replace("kolmonet-solution", "something-else").encode())
 
 
+@pytest.mark.parametrize(
+    "good, bad",
+    [
+        ('"bias": [0, 0]', '"bias": [NaN, 0]'),
+        ('"bias": [0, 0]', '"bias": [Infinity, 0]'),
+        ('"bias": [0, 0]', '"bias": [-Infinity, 0]'),
+        ('"bias": [0, 0]', '"bias": [1e400, 0]'),
+        ('"delta": 0.5', '"delta": NaN'),
+        ('"delta": 0.5', '"delta": -Infinity'),
+    ],
+)
+def test_deserialize_rejects_non_finite(good, bad):
+    sol = build.SolutionNet(net=nets.affine_net(np.ones((2, 1))), provenance={"delta": 0.5})
+    data = build.serialize(sol).decode()
+    assert good in data
+    with pytest.raises(build.SolutionNetFormatError, match="non-finite"):
+        build.deserialize(data.replace(good, bad).encode())
+
+
 def test_pde_problem_validation():
     with pytest.raises(ValueError):
         build.PdeProblem(
@@ -290,3 +309,27 @@ def test_serialized_bytes_pinned():
     data = build.serialize(build.solve(tp.problem, 1.0, seed=31415, budget_override=budget))
     assert len(data) == 67_416
     assert hashlib.sha256(data).hexdigest() == "7a1b985f70dd9f4f0c549227fa5924fbca67b587d5bfd9b34100e15e02dc3e63"
+
+
+def test_reference_build_bytes_pinned():
+    # the README reference build (heat, d=1, (N, M, delta) = (8, 64, 2^-8), seed 2026)
+    tp = problems.heat_relu_problem(1)
+    budget = bounds.Budget(N=8, M=64, delta=2.0**-8)
+    data = build.serialize(build.solve(tp.problem, 1.0, seed=2026, budget_override=budget))
+    assert len(data) == 23_350_889
+    assert hashlib.sha256(data).hexdigest() == "0732a6d8356ab1f764b787f22174acfad4115dc479c7bf3318ef9da604a234e4"
+
+
+@pytest.mark.parametrize("N, M", [(1, 4), (4, 1), (1, 1)])
+def test_degenerate_build_round_trip(N, M):
+    # M = 1 skips the pipeline average; N = 1 has a single Euler cell
+    tp = problems.heat_relu_problem(1)
+    sol = build.solve(tp.problem, 1.0, seed=7, budget_override=bounds.Budget(N=N, M=M, delta=2.0**-4))
+    data = build.serialize(sol)
+    back = build.deserialize(data)
+    assert build.serialize(back) == data
+    assert back.provenance == sol.provenance
+    assert back.net.dims == sol.net.dims
+    for la, lb in zip(sol.net.layers, back.net.layers):
+        assert np.array_equal(la.weight, lb.weight)
+        assert np.array_equal(la.bias, lb.bias)

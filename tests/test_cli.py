@@ -45,6 +45,18 @@ def test_verify_corrupted_network_exit_two(tmp_path, capsys):
     assert run(["verify", "--in", str(bad), "--problem", "heat_relu", "--d", "1"]) == 2
 
 
+def test_verify_non_finite_network_exit_two(tmp_path, capsys):
+    out = tmp_path / "net.json"
+    args = ["build", "--problem", "heat_relu", "--d", "1", "--N", "1", "--M", "1", "--delta", "0.5", "--seed", "3"]
+    assert run(args + ["--out", str(out)]) == 0
+    text = out.read_text()
+    assert '"bias": [0' in text
+    out.write_text(text.replace('"bias": [0', '"bias": [NaN', 1))
+    capsys.readouterr()
+    assert run(["verify", "--in", str(out), "--problem", "heat_relu", "--d", "1"]) == 2
+    assert "cannot load network" in capsys.readouterr().err
+
+
 def test_verify_missing_file_exit_two(tmp_path):
     assert run(["verify", "--in", str(tmp_path / "absent.json"), "--problem", "heat_relu", "--d", "1"]) == 2
 

@@ -393,10 +393,89 @@ def test_network_doc_rejects_bad_dims():
         nets.network_from_doc(doc)
 
 
+def _write_network_per_value(net):
+    """Reference writer: formats every stored number on its own."""
+
+    def tokens(a):
+        return ", ".join(nets._fmt(v) for v in a.ravel().tolist())
+
+    out = '{"version": %d, "dims": %s, "layers": [' % (
+        nets.NETWORK_FORMAT_VERSION, json.dumps(list(net.dims)))
+    out += ", ".join(
+        '{"weight": [%s], "bias": [%s]}' % (tokens(l.weight), tokens(l.bias))
+        for l in net.layers
+    )
+    return out + "]}"
+
+
+_EDGE_VALUES = [
+    5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    0.1 + 0.2, 2.0, 1e16, 1e17, -0.0, 0.0, -1.0,
+]
+
+
+def _repeated_values_net(seed, dims):
+    # draws from a small pool so most entries repeat, as in a built pipeline
+    gen = np.random.default_rng(seed)
+    pool = np.concatenate([gen.normal(size=5), [0.0, 1.0, -1.0]])
+    return nets.Network(
+        tuple(
+            nets.Layer(gen.choice(pool, size=(b, a)), gen.choice(pool, size=b))
+            for a, b in zip(dims, dims[1:])
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        _repeated_values_net(0, (3, 40, 17, 1)),
+        _repeated_values_net(1, (1, 1, 1)),
+        nets.Network((nets.Layer(np.full((6, 5), 0.3), np.full(6, 0.3)),)),
+        nets.Network(
+            (
+                nets.Layer(np.array(_EDGE_VALUES * 3).reshape(11, 3), np.array(_EDGE_VALUES)),
+                nets.Layer(np.array([_EDGE_VALUES[::-1]]), np.array([1e17])),
+            )
+        ),
+        random_net(np.random.default_rng(15), (2, 7, 1)),
+    ],
+    ids=["repeated", "one_by_one", "one_value", "edge_values", "all_distinct"],
+)
+def test_write_network_matches_per_value_writer(net):
+    buf = io.StringIO()
+    nets.write_network(buf, net)
+    assert buf.getvalue() == _write_network_per_value(net)
+    back = nets.network_from_doc(json.loads(buf.getvalue()))
+    for a, b in zip(net.layers, back.layers):
+        assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
+
+
+def test_write_network_writes_negative_zero_as_zero():
+    # the writer merges -0.0 with 0.0; that is only sound because Layer stores no -0.0
+    buf = io.StringIO()
+    nets.write_network(buf, nets.affine_net(np.array([[-0.0, 2.0, -0.0]]), np.array([-0.0])))
+    assert '"weight": [0, 2, 0], "bias": [0]' in buf.getvalue()
+
+
 def test_write_network_rejects_non_finite():
-    net = nets.affine_net(np.array([[np.inf]]))
-    with pytest.raises(ValueError):
-        nets.write_network(io.StringIO(), net)
+    # once alone and once repeated among finite values, in a weight and in a bias
+    for value in (np.nan, np.inf, -np.inf):
+        for key, index in (("weight", (2, 1)), ("bias", 7), ("weight", slice(None, None, 3)), ("bias", slice(None, None, 2))):
+            arrays = {"weight": np.ones((40, 3)), "bias": np.linspace(-1.0, 1.0, 40)}
+            arrays[key][index] = value
+            net = nets.Network((nets.Layer(np.ones((3, 2)), np.zeros(3)), nets.Layer(**arrays)))
+            with pytest.raises(ValueError, match="non-finite"):
+                nets.write_network(io.StringIO(), net)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", ["weight", "bias"])
+def test_network_from_doc_rejects_non_finite(value, key):
+    doc = _network_doc(nets.identity_net(2))
+    doc["layers"][1][key][1] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        nets.network_from_doc(doc)
 
 
 def test_layer_validation():
