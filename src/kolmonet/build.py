@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,8 +363,19 @@ def deserialize(data: bytes) -> SolutionNet:
 
 
 def save_solution(solution: SolutionNet, path):
-    with open(path, "wb") as fh:
-        fh.write(serialize(solution))
+    """Write ``serialize(solution)`` to ``path``.
+
+    An existing regular file is rewritten in place and then truncated to
+    the new length, which is much cheaper than truncating it first on
+    filesystems that discard freed blocks; the file ends up holding exactly
+    the new bytes.  A new file gets the mode ``open(path, "wb")`` gives it,
+    and other targets (``/dev/null``, a pipe) are written as that would.
+    """
+    data = serialize(solution)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))
 
 
 def load_solution(path) -> SolutionNet:

@@ -402,18 +402,30 @@ def write_network(fh, net: Network):
 
     Reals carry 17 significant digits, so ``network_from_doc`` of the
     parsed document is bit-exact; non-finite values raise ValueError.
-    Each distinct value of a layer's weight or bias is formatted once;
-    the bytes are those of formatting every entry in row-major order.
+    Each distinct weight or bias array of the network is formatted once,
+    and each distinct value within it once; the bytes are those of
+    formatting every entry in row-major order.
     """
+    # Keyed by the array's bytes alone (Layer stores float64): the text is
+    # the flat row-major join, so arrays with equal bytes write equal text
+    # whatever their shapes.  A failed format raises before it is stored.
+    texts = {}
+
+    def text(a):
+        key = a.tobytes()
+        if key not in texts:
+            texts[key] = _fmt_values(a)
+        return texts[key]
+
     fh.write('{"version": %d, "dims": %s, "layers": [' % (
         NETWORK_FORMAT_VERSION, json.dumps(list(net.dims))))
     for k, layer in enumerate(net.layers):
         if k:
             fh.write(", ")
         fh.write('{"weight": [')
-        fh.write(_fmt_values(layer.weight))
+        fh.write(text(layer.weight))
         fh.write('], "bias": [')
-        fh.write(_fmt_values(layer.bias))
+        fh.write(text(layer.bias))
         fh.write("]}")
     fh.write("]}")
 

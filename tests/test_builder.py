@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -318,6 +320,37 @@ def test_reference_build_bytes_pinned():
     data = build.serialize(build.solve(tp.problem, 1.0, seed=2026, budget_override=budget))
     assert len(data) == 23_350_889
     assert hashlib.sha256(data).hexdigest() == "0732a6d8356ab1f764b787f22174acfad4115dc479c7bf3318ef9da604a234e4"
+
+
+def test_save_solution_rewrites_in_place_to_the_new_length(tmp_path):
+    # criterion 9's OU build over a longer file, then a larger build over it
+    path = tmp_path / "net.json"
+    path.write_bytes(b"x" * 2**20)
+    tp = problems.ou_linear_problem(1)
+    small = build.solve(tp.problem, 1.0, seed=31415, budget_override=bounds.Budget(N=2, M=2, delta=2.0**-4))
+    build.save_solution(small, path)
+    data = path.read_bytes()
+    assert data == build.serialize(small)
+    assert hashlib.sha256(data).hexdigest() == "7a1b985f70dd9f4f0c549227fa5924fbca67b587d5bfd9b34100e15e02dc3e63"
+    large = build.solve(tp.problem, 1.0, seed=7, budget_override=bounds.Budget(N=4, M=4, delta=2.0**-4))
+    assert len(build.serialize(large)) > len(data)
+    build.save_solution(large, path)
+    assert path.read_bytes() == build.serialize(large)
+
+
+def test_save_solution_new_file_mode_follows_umask(tmp_path):
+    tp = problems.ou_linear_problem(1)
+    sol = build.solve(tp.problem, 1.0, seed=3, budget_override=bounds.Budget(N=1, M=1, delta=2.0**-4))
+    for mask in (0o022, 0o077, 0o002):
+        saved, opened = tmp_path / ("saved%o" % mask), tmp_path / ("opened%o" % mask)
+        old = os.umask(mask)
+        try:
+            build.save_solution(sol, saved)
+            with open(opened, "wb"):
+                pass
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(saved.stat().st_mode) == stat.S_IMODE(opened.stat().st_mode)
 
 
 @pytest.mark.parametrize("N, M", [(1, 4), (4, 1), (1, 1)])

@@ -82,6 +82,16 @@ def test_build_deterministic_bytes(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_build_to_dev_null(tmp_path, capsys):
+    # a target that is not a regular file is written as before, without truncation
+    args = ["build", "--problem", "ou_linear", "--d", "1", "--N", "2", "--M", "2", "--delta", "0.0625", "--seed", "2026"]
+    assert run(args + ["--out", str(tmp_path / "net.json")]) == 0
+    to_file = capsys.readouterr().out
+    assert run(args + ["--out", "/dev/null"]) == 0
+    assert capsys.readouterr().out == to_file
+    assert len(to_file.splitlines()) == 3
+
+
 def test_config_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 23, "M": 4}))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kolmonet import nets
+from kolmonet import build, nets
 
 
 def straight_line_eval(net, x):
@@ -449,6 +449,73 @@ def test_write_network_matches_per_value_writer(net):
     back = nets.network_from_doc(json.loads(buf.getvalue()))
     for a, b in zip(net.layers, back.layers):
         assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
+
+
+def _shared_weight_members(seed, dims, M):
+    # like the builder's path networks: one set of weights, biases per member
+    gen = np.random.default_rng(seed)
+    template = random_net(gen, dims)
+    return [
+        nets.Network(tuple(nets.Layer(l.weight, gen.normal(size=l.out_dim)) for l in template.layers))
+        for _ in range(M)
+    ]
+
+
+def _equal_bytes_net():
+    # equal bytes under different shapes, and equal shapes and sizes with other bytes
+    a = np.arange(1.0, 7.0)
+    return nets.Network(
+        (
+            nets.Layer(a.reshape(2, 3), a[:2]),
+            nets.Layer(a.reshape(3, 2), a[:3]),
+            nets.Layer(a[::-1].reshape(2, 3), a[1:3]),
+            nets.Layer(a.reshape(3, 2), a[:3] + 0.5),
+        )
+    )
+
+
+def _same_matrix_net(depth, width):
+    w = np.random.default_rng(3).normal(size=(width, width))
+    return nets.Network(tuple(nets.Layer(w, np.zeros(width)) for _ in range(depth)))
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        build._pipeline_average(_shared_weight_members(4, (2, 5, 4, 1), 3), 1.0 / 3),
+        _equal_bytes_net(),
+        _same_matrix_net(6, 4),
+    ],
+    ids=["pipeline_of_shared_weights", "equal_bytes_other_shapes", "one_matrix"],
+)
+def test_write_network_repeated_arrays_match_per_value_writer(net):
+    assert len({l.weight.tobytes() for l in net.layers}) < len(net.layers)
+    buf = io.StringIO()
+    nets.write_network(buf, net)
+    assert buf.getvalue() == _write_network_per_value(net)
+
+
+def test_write_network_is_independent_of_earlier_calls():
+    # each call formats its own arrays; nothing carries over between networks
+    first, second = _same_matrix_net(3, 4), _equal_bytes_net()
+    for net in (first, second, first):
+        buf = io.StringIO()
+        nets.write_network(buf, net)
+        assert buf.getvalue() == _write_network_per_value(net)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("occurrence", [0, 3])
+def test_write_network_rejects_non_finite_in_repeated_matrix(value, occurrence):
+    w = np.random.default_rng(5).normal(size=(4, 4))
+    layers = [nets.Layer(w, np.zeros(4)) for _ in range(5)]
+    bad = w.copy()
+    bad[1, 2] = value
+    layers[occurrence] = nets.Layer(bad, np.zeros(4))
+    net = nets.Network(tuple(layers))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-finite"):
+            nets.write_network(io.StringIO(), net)
 
 
 def test_write_network_writes_negative_zero_as_zero():
