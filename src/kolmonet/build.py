@@ -34,8 +34,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import stat
 from dataclasses import dataclass
+from json.decoder import JSONArray
+from json.scanner import py_make_scanner
 
 import numpy as np
 
@@ -326,13 +329,19 @@ def serialize(solution: SolutionNet) -> bytes:
     """Versioned text form: provenance block plus the network document.
 
     Reals carry 17 significant digits so deserialization is bit-exact;
-    identical builds serialize to identical bytes.
+    identical builds serialize to identical bytes.  A non-finite value in
+    the provenance raises ValueError, as it would on reading.
     """
     import io
 
     buf = io.StringIO()
+    try:
+        # the reader rejects NaN and +-inf, so the writer refuses them too
+        provenance = json.dumps(solution.provenance, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError("provenance holds a value the reader rejects: %s" % exc) from None
     buf.write('{"format": "kolmonet-solution", "version": 1, "provenance": ')
-    buf.write(json.dumps(solution.provenance, sort_keys=True))
+    buf.write(provenance)
     buf.write(', "network": ')
     nets.write_network(buf, solution.net)
     buf.write("}")
@@ -343,9 +352,65 @@ def _reject_constant(name):
     raise SolutionNetFormatError("non-finite value %s in the document" % name)
 
 
+# An array of numbers alone, whose value is a function of its text.
+_NUMBER_ARRAY = re.compile(r'\[[-+.0-9eE, \t\n\r]*\]')
+
+
+def _loads(text: str):
+    """``json.loads(text, parse_constant=_reject_constant)``, parsing each
+    distinct text of an array of numbers once.
+
+    The M path networks share their weights, so a solution file repeats
+    few distinct arrays (the reference build's 3,461 hold 102 texts).  An
+    array with no nested array runs from its "[" to the first "]"; that
+    text is looked up, and on its first occurrence checked against
+    ``_NUMBER_ARRAY`` and parsed by json.  Equal texts yield one shared
+    list.  Every other array goes through json's own parsing.  The scan
+    stays linear: the first "]" is remembered until the parse passes it,
+    and the texts looked up never overlap, as none holds a "[".
+    """
+    leaves = {}
+    close = -1
+
+    def parse_array(s_and_end, scan_once):
+        nonlocal close
+        s, end = s_and_end
+        if close < end:
+            close = s.find("]", end)
+            if close < 0:
+                close = len(s)
+        if close == len(s) or s.find("[", end, close) >= 0:
+            return JSONArray(s_and_end, scan_once)
+        leaf = s[end - 1 : close + 1]
+        value = leaves.get(leaf)
+        if value is None:
+            if _NUMBER_ARRAY.fullmatch(leaf) is None:
+                return JSONArray(s_and_end, scan_once)
+            try:
+                value = json.loads(leaf, parse_constant=_reject_constant)
+            except json.JSONDecodeError as exc:
+                raise json.JSONDecodeError(exc.msg, s, end - 1 + exc.pos) from None
+            leaves[leaf] = value
+        return value, close + 1
+
+    decoder = json.JSONDecoder(parse_constant=_reject_constant)
+    decoder.parse_array = parse_array
+    decoder.scan_once = py_make_scanner(decoder)
+    return decoder.decode(text)
+
+
+def _unshared(value):
+    # the caller owns the provenance, so no two of its lists may be one object
+    if isinstance(value, list):
+        return [_unshared(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _unshared(v) for k, v in value.items()}
+    return value
+
+
 def deserialize(data: bytes) -> SolutionNet:
     try:
-        doc = json.loads(data.decode(), parse_constant=_reject_constant)
+        doc = _loads(data.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SolutionNetFormatError("not a solution-network document: %s" % exc) from None
     if not isinstance(doc, dict) or doc.get("format") != "kolmonet-solution":
@@ -359,7 +424,7 @@ def deserialize(data: bytes) -> SolutionNet:
     prov = doc.get("provenance")
     if not isinstance(prov, dict):
         raise SolutionNetFormatError("missing provenance block")
-    return SolutionNet(net=net, provenance=prov)
+    return SolutionNet(net=net, provenance=_unshared(prov))
 
 
 def save_solution(solution: SolutionNet, path):

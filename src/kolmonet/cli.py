@@ -86,7 +86,7 @@ def cmd_build(args) -> int:
     solution = build.solve(tp.problem, eps=1.0, seed=args.seed, budget_override=budget)
     try:
         build.save_solution(solution, args.out)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         return _fail("cannot write %s: %s" % (args.out, exc))
     count = nets.param_count(solution.net)
     limit = solution.provenance["bound_values"]["param_bound"]
@@ -101,6 +101,8 @@ def cmd_verify(args) -> int:
         tp = problems.get_problem(args.problem, args.d)
     except KeyError as exc:
         return _fail(str(exc))
+    if args.samples < 1:
+        return _fail("--samples must be at least 1, got %d" % args.samples)
     try:
         solution = build.load_solution(args.infile)
     except (OSError, build.SolutionNetFormatError) as exc:

@@ -438,13 +438,24 @@ def network_from_doc(doc: dict) -> Network:
     dims = [int(v) for v in doc["dims"]]
     if len(dims) < 2 or len(doc["layers"]) != len(dims) - 1:
         raise ValueError("dims header inconsistent with layer count")
+    # A reader may hand equal arrays as one list (build.deserialize does), so
+    # each distinct list is converted once, keyed by identity: the document
+    # keeps every list alive for the length of the call.
+    arrays = {}
+
+    def array(value):
+        hit = arrays.get(id(value))
+        if hit is None:
+            hit = arrays[id(value)] = np.asarray(value, dtype=np.float64)
+        return hit
+
     layers = []
     for k, entry in enumerate(doc["layers"]):
         rows, cols = dims[k + 1], dims[k]
-        weight = np.asarray(entry["weight"], dtype=np.float64)
+        weight = array(entry["weight"])
         if weight.size != rows * cols:
             raise ValueError("layer %d weight size mismatch" % k)
-        bias = np.asarray(entry["bias"], dtype=np.float64)
+        bias = array(entry["bias"])
         if bias.size != rows:
             raise ValueError("layer %d bias size mismatch" % k)
         if not (np.isfinite(weight).all() and np.isfinite(bias).all()):

@@ -344,18 +344,6 @@ def feynman_kac(f0, drift, A, t: float, x, paths: int, steps: int, seed: int):
     return est, se
 
 
-def lp_error(fn_a, fn_b, measure: UniformSpaceTimeMeasure, p: float, samples: int, seed: int) -> float:
-    """Sampled L^p distance of two space-time functions under ``measure``.
-
-    Functions are called as f(t, x) with t of shape (K,) and x of shape
-    (K, d) and must return shape (K,).  The estimate uses the normalized
-    (probability) version of the measure; multiply by mass**(1/p) for the
-    unnormalized functional.  Deterministic per seed.
-    """
-    t, x = measure.sample(samples, seed)
-    return lp_distance(fn_a(t, x), fn_b(t, x), p)
-
-
 def lp_distance(va, vb, p: float) -> float:
     """Empirical L^p distance (mean |va - vb|^p)^(1/p) of two value arrays at the same points."""
     if p <= 0:

@@ -88,7 +88,9 @@ def strong_interp_study(paths: int = 100_000, N: int = 8, seed: int = 101):
 
     The continuous-time scheme is realized on a refinement of factor two,
     which is exact at the midpoints because the drift only enters through
-    grid values.
+    grid values.  The gate accepts |RMS - target| <= 4 standard errors, a
+    two-sided test that fails correct code on about 6.3e-5 of seeds
+    (2 (1 - Phi(4)), with the estimate close to normal at these path counts).
     """
     T, d = 1.0, 1
     h = T / N
@@ -110,7 +112,7 @@ def strong_interp_study(paths: int = 100_000, N: int = 8, seed: int = 101):
     rms = math.sqrt(mean_sq)
     se_rms = se_sq / (2.0 * rms)
     target = bounds.interp_error_bound(2.0, h, 1.0)
-    ok = abs(rms - target) <= 3.0 * se_rms
+    ok = abs(rms - target) <= 4.0 * se_rms
     rows = [(N, paths, rms, se_rms, target)]
     return rows, ok
 

@@ -1,8 +1,10 @@
 """Builder contracts: emulation error, adaptedness, growth, averaging, IO."""
 
 import hashlib
+import json
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -270,6 +272,126 @@ def test_deserialize_rejects_non_finite(good, bad):
     assert good in data
     with pytest.raises(build.SolutionNetFormatError, match="non-finite"):
         build.deserialize(data.replace(good, bad).encode())
+
+
+def test_serialize_refuses_non_finite_provenance(tmp_path):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_bytes(b"an earlier build")
+    for value in (math.inf, -math.inf, math.nan):
+        sol = build.SolutionNet(
+            net=nets.identity_net(1), provenance={"bound_values": {"error_bound_unit_mass": value}}
+        )
+        with pytest.raises(ValueError, match="provenance holds a value the reader rejects"):
+            build.serialize(sol)
+        for path in (old, new):
+            with pytest.raises(ValueError):
+                build.save_solution(sol, path)
+    assert old.read_bytes() == b"an earlier build"
+    assert not new.exists()
+
+
+def _deserialize_oracle(data):
+    """The reader before each distinct array text was parsed once: json.loads, then np.asarray per layer."""
+    doc = json.loads(data.decode(), parse_constant=build._reject_constant)
+    dims = doc["network"]["dims"]
+    layers = tuple(
+        nets.Layer(
+            np.asarray(entry["weight"], dtype=np.float64).reshape(dims[k + 1], dims[k]),
+            np.asarray(entry["bias"], dtype=np.float64),
+        )
+        for k, entry in enumerate(doc["network"]["layers"])
+    )
+    return nets.Network(layers), doc["provenance"]
+
+
+def _assert_reads_as_oracle(data):
+    back = build.deserialize(data)
+    net, provenance = _deserialize_oracle(data)
+    assert back.provenance == provenance
+    assert back.net.dims == net.dims
+    for la, lb in zip(back.net.layers, net.layers):
+        assert la.weight.shape == lb.weight.shape
+        assert la.weight.tobytes() == lb.weight.tobytes()
+        assert la.bias.tobytes() == lb.bias.tobytes()
+    return back
+
+
+@pytest.mark.parametrize(
+    "maker, d, N, M, delta, seed",
+    [
+        (problems.heat_relu_problem, 1, 8, 64, 2.0**-8, 2026),  # the README reference build
+        (problems.ou_linear_problem, 2, 4, 3, 2.0**-4, 5),
+        (problems.quadratic_heat_problem, 1, 3, 4, 2.0**-4, 6),
+    ],
+)
+def test_reader_matches_json_oracle_on_builds(maker, d, N, M, delta, seed):
+    sol = build.solve(maker(d).problem, 1.0, seed=seed, budget_override=bounds.Budget(N=N, M=M, delta=delta))
+    back = _assert_reads_as_oracle(build.serialize(sol))
+    assert back.provenance == sol.provenance
+
+
+def test_reader_parses_each_distinct_array_text_once(monkeypatch):
+    sol = build.solve(
+        problems.ou_linear_problem(1).problem, 1.0, seed=2, budget_override=bounds.Budget(N=2, M=4, delta=2.0**-4)
+    )
+    data = build.serialize(sol)
+    arrays = re.findall(r"\[[^\[\]]*\]", data.decode())
+    assert len(set(arrays)) < len(arrays)
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+    build.deserialize(data)
+    assert sorted(parsed) == sorted(set(arrays))
+
+
+_HAND_EDITED = """{ "format" : "kolmonet-solution",\r
+  "version": 1,
+  "network": {"dims": [ 2,\t3, 1 ], "version": 1,
+    "layers": [
+      {"weight": [ 1,  -0 ,
+                   0.5, 2e-3, -0.0, 7 ], "bias": [-0, 1,2]},
+      {"bias": [5], "weight": [1,
+ 1,1]}
+    ]},
+  "provenance": {"note": "[1, 2] and ]", "pair": [[1, 2], [1, 2]], "nested": [[[3]], [], [5]],
+                 "tags": ["x]", "[y", "{z"], "bias_text": [5], "seed": 3}
+}
+"""
+
+
+def test_reader_matches_json_oracle_on_hand_edited_documents():
+    back = _assert_reads_as_oracle(_HAND_EDITED.encode())
+    assert back.net.dims == (2, 3, 1)
+    assert back.provenance["note"] == "[1, 2] and ]"
+    # equal texts parse to one list inside the reader; the caller's lists are its own
+    first, second = back.provenance["pair"]
+    assert first == second and first is not second
+    back.provenance["bias_text"].append(6)
+    assert build.deserialize(_HAND_EDITED.encode()).provenance["bias_text"] == [5]
+    one = build.serialize(build.SolutionNet(net=nets.affine_net([[2.5]], [-1.0]), provenance={"seed": 1}))
+    assert b'"weight": [2.5], "bias": [-1]' in one
+    _assert_reads_as_oracle(one)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text[: len(text) // 2],  # truncated inside a bias array
+        lambda text: text[:-3],  # truncated after the last array
+        lambda text: text.replace('"bias": [5]', '"bias": [5'),  # unclosed [
+        lambda text: text.replace('"pair": [[1, 2]', '"pair": [[1, 2,]'),  # a bad number array
+        lambda text: text.replace("0.5, 2e-3", "0.5,\n 2e-3 x"),  # a bad value on a later line
+        lambda text: text.replace('"bias": [5]', '"bias": []'),  # parses, but the bias does not fit
+    ],
+)
+def test_reader_rejects_what_the_json_oracle_rejects(edit):
+    data = edit(_HAND_EDITED).encode()
+    with pytest.raises((json.JSONDecodeError, ValueError)) as oracle:
+        _deserialize_oracle(data)
+    with pytest.raises(build.SolutionNetFormatError) as reader:
+        build.deserialize(data)
+    if isinstance(oracle.value, json.JSONDecodeError):
+        assert str(reader.value) == "not a solution-network document: %s" % oracle.value
 
 
 def test_pde_problem_validation():

@@ -1,11 +1,12 @@
 """Command-line driver: subcommands, exit codes, determinism, config precedence."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from kolmonet import cli
+from kolmonet import build, cli
 
 
 def run(argv):
@@ -55,6 +56,29 @@ def test_verify_non_finite_network_exit_two(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", "--in", str(out), "--problem", "heat_relu", "--d", "1"]) == 2
     assert "cannot load network" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_samples_below_one_exit_two(tmp_path, capsys, samples):
+    # checked before the file is loaded, so a missing file is not what fails
+    args = ["verify", "--in", str(tmp_path / "absent.json"), "--problem", "heat_relu", "--samples", samples]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert "--samples must be at least 1, got %s" % samples in captured.err
+    assert captured.out == ""
+
+
+def test_build_with_non_finite_provenance_exit_two_and_keeps_the_file(tmp_path, capsys, monkeypatch):
+    # the bound overflows to inf at large kappa and d; the reader would reject such a file
+    monkeypatch.setattr(build, "solution_error_bound", lambda *args: math.inf)
+    out = tmp_path / "net.json"
+    out.write_bytes(b"an earlier build")
+    args = ["build", "--problem", "ou_linear", "--d", "1", "--N", "2", "--M", "2", "--delta", "0.0625"]
+    assert run(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write %s: provenance holds a value the reader rejects" % out in captured.err
+    assert captured.out == ""
+    assert out.read_bytes() == b"an earlier build"
 
 
 def test_verify_missing_file_exit_two(tmp_path):

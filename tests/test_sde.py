@@ -264,28 +264,29 @@ def test_sqrtm_psd_clamps_rounding_noise():
 
 def test_lp_error_identical_functions():
     m = sde.UniformSpaceTimeMeasure(1.0, -1.0, 1.0, 2)
-    f = lambda t, x: np.sin(t) + x.sum(axis=1)
-    assert sde.lp_error(f, f, m, 2.0, 1000, 0) == 0.0
+    t, x = m.sample(1000, 0)
+    v = np.sin(t) + x.sum(axis=1)
+    assert sde.lp_distance(v, v, 2.0) == 0.0
 
 
 def test_lp_error_constant_offset():
     m = sde.UniformSpaceTimeMeasure(2.0, 0.0, 1.0, 1)
-    f = lambda t, x: np.zeros(len(t))
-    g = lambda t, x: np.full(len(t), -0.37)
+    t, x = m.sample(500, 1)
     for p in (1.0, 2.0, 4.0):
-        assert sde.lp_error(f, g, m, p, 500, 1) == pytest.approx(0.37, rel=1e-12)
+        assert sde.lp_distance(np.zeros(len(t)), np.full(len(t), -0.37), p) == pytest.approx(0.37, rel=1e-12)
 
 
 def test_lp_error_linear_in_time():
     m = sde.UniformSpaceTimeMeasure(1.0, -1.0, 1.0, 1)
-    v = sde.lp_error(lambda t, x: t, lambda t, x: 0 * t, m, 2.0, 400_000, 2)
-    assert v == pytest.approx(1.0 / math.sqrt(3.0), abs=3e-3)
+    t, x = m.sample(400_000, 2)
+    assert sde.lp_distance(t, 0 * t, 2.0) == pytest.approx(1.0 / math.sqrt(3.0), abs=3e-3)
 
 
 def test_lp_error_rejects_bad_order():
     m = sde.UniformSpaceTimeMeasure(1.0, 0.0, 1.0, 1)
+    t, x = m.sample(10, 0)
     with pytest.raises(ValueError):
-        sde.lp_error(lambda t, x: t, lambda t, x: t, m, 0.0, 10, 0)
+        sde.lp_distance(t, t, 0.0)
 
 
 def test_measure_mass_and_sampling_box():
