@@ -25,7 +25,7 @@ def main():
 
     rows, ok = studies.strong_interp_study(paths=max(args.paths, 50_000), seed=args.seed + 1)
     sde.write_convergence_csv(os.path.join(args.outdir, "strong_interp.csv"), rows)
-    print("strong interpolation check: %s" % ("ok" if ok else "outside 3 sigma"))
+    print("strong interpolation check: %s" % ("ok" if ok else "outside 4 standard errors"))
 
 
 if __name__ == "__main__":

@@ -22,11 +22,19 @@ their cell and products annihilate zero factors exactly, which makes the
 network depend on increments y_k, k > n, only through exact zeros for
 t <= tau_n (adaptedness).
 
+The M path networks share one architecture and one set of weights: the
+increments reach a path network only through the biases of its affine
+layers.  So the paths are built once, as one template network whose
+biases carry a member axis where the noise reaches them, and every
+member bias is bitwise the one a build of that path alone gives.
+
 The M-path average is assembled as a depth pipeline: path blocks run one
 after another over carried (t, x) channels while a running accumulator
-collects the outputs.  The realization equals the weighted average of
-the member realizations; parameters grow linearly in M, comfortably
-inside the quadratic parameter budget.
+collects the outputs.  The pipeline weight of each template layer is
+formed once and shared by all M blocks; only their biases differ.  The
+realization equals the weighted average of the member realizations;
+parameters grow linearly in M, comfortably inside the quadratic
+parameter budget.
 """
 
 from __future__ import annotations
@@ -145,7 +153,10 @@ def build_euler_net(
 ) -> Network:
     """Space-time network emulating one linearly interpolated Euler path.
 
-    ``increments`` has shape (N, d) (one noise vector per step), ``grid``
+    ``increments`` has shape (N, d) (one noise vector per step), or
+    (M, N, d) for M paths at once: the result is then one network whose
+    biases carry a member axis where the increments reach them, and member
+    m is bitwise the network built from ``increments[m]``.  ``grid``
     is the uniform grid n T / N, and ``growth`` = (C, c) bounds the drift
     by ||drift(x)|| <= C + c ||x||.  The result maps (t, x) in R^{d+1} to
     an approximation of Y_t^{x,y} with error at most
@@ -159,8 +170,10 @@ def build_euler_net(
     grid = np.asarray(grid, dtype=np.float64)
     N = len(grid) - 1
     d = drift_net.in_dim
-    if increments.shape != (N, d):
-        raise ValueError("increments must have shape (N, d) = (%d, %d)" % (N, d))
+    if increments.ndim not in (2, 3) or increments.shape[-2:] != (N, d):
+        raise ValueError(
+            "increments must have shape (N, d) or (M, N, d) with (N, d) = (%d, %d)" % (N, d)
+        )
     T = grid[-1]
     if T <= 0 or not np.array_equal(grid, np.arange(N + 1) * (T / N)):
         raise ValueError("grid must be the uniform grid n T / N")
@@ -180,7 +193,7 @@ def build_euler_net(
     for n in range(N):
         # (T/N) drift(Y_{tau_n}) + y_{n+1}, as a function of x
         delta_net = nets.compose(
-            nets.affine_net(h * np.eye(d), increments[n]),
+            nets.affine_net(h * np.eye(d), increments[..., n, :]),
             nets.compose(drift_net, grid_value_net),
         )
         ramp = nets.select_inputs(nets.hat_time_net(grid, n), [0], d + 1)
@@ -193,64 +206,71 @@ def build_euler_net(
         branches.append(nets.concat_with_identity(prods, feed))
         if n < N - 1:
             grid_value_net = nets.compose(
-                nets.compose(nets.affine_net(np.eye(d), increments[n]), step_base),
+                nets.compose(nets.affine_net(np.eye(d), increments[..., n, :]), step_base),
                 grid_value_net,
             )
     passthrough = nets.select_inputs(id_aff, coords, d + 1)
     return nets.average_nets([passthrough] + branches, [1.0] * (N + 1))
 
 
-def _pipeline_average(members, scale: float) -> Network:
-    """Network realizing scale * sum_m realize(members[m], .) via a depth pipeline.
+def _pipeline_average(template: Network, M: int) -> Network:
+    """Network realizing (1/M) sum_m realize(member m, .) via a depth pipeline.
 
-    Inputs are carried as rectified (positive, negative) channel pairs;
-    member blocks execute one after another and feed a running
-    accumulator pair.  Parameter count is linear in the member count.
+    Member m of the scalar network ``template`` has its weights and row m
+    of each bias that carries a member axis.  Inputs are carried as
+    rectified (positive, negative) channel pairs; member blocks execute one
+    after another and feed a running accumulator pair.  Parameter count is
+    linear in M, while the pipeline weight of each template layer is formed
+    once and shared by all M blocks.
     """
-    P = members[0].in_dim
-    for m in members:
-        if m.in_dim != P or m.out_dim != 1:
-            raise ValueError("pipeline members must share the input and be scalar")
+    P = template.in_dim
+    if template.out_dim != 1:
+        raise ValueError("pipeline members must be scalar")
+    if any(l.bias.ndim == 2 and len(l.bias) != M for l in template.layers):
+        raise ValueError("template biases must carry %d members" % M)
     pairs = 2 * P
     width0 = pairs + 2  # carried pairs plus the accumulator pair
     read = np.hstack([np.eye(P), -np.eye(P)])
     entry = np.zeros((width0, P))
     entry[:P, :] = np.eye(P)
     entry[P:pairs, :] = -np.eye(P)
-    layers = [Layer(entry, np.zeros(width0))]
-    for net in members:
-        prev = 0
-        for k in range(net.depth - 1):
-            lay = net.layers[k]
-            w = lay.out_dim
-            wk = np.zeros((width0 + w, width0 + prev))
-            wk[:width0, :width0] = np.eye(width0)
-            bk = np.zeros(width0 + w)
-            if k == 0:
-                wk[width0:, :pairs] = lay.weight @ read
-            else:
-                wk[width0:, width0:] = lay.weight
-            bk[width0:] = lay.bias
-            layers.append(Layer(wk, bk))
-            prev = w
-        out = net.layers[-1]
-        wt = np.zeros((width0, width0 + prev))
-        bt = np.zeros(width0)
-        wt[:pairs, :pairs] = np.eye(pairs)
-        wt[pairs, pairs] = 1.0
-        wt[pairs, pairs + 1] = -1.0
-        wt[pairs + 1, pairs] = -1.0
-        wt[pairs + 1, pairs + 1] = 1.0
-        if net.depth == 1:
-            folded = out.weight @ read
-            wt[pairs, :pairs] += folded[0]
-            wt[pairs + 1, :pairs] -= folded[0]
+    blocks = []  # (shared weight, (M, rows) table of member biases)
+    prev = 0
+    for k in range(template.depth - 1):
+        lay = template.layers[k]
+        w = lay.out_dim
+        wk = np.zeros((width0 + w, width0 + prev))
+        wk[:width0, :width0] = np.eye(width0)
+        bk = np.zeros((M, width0 + w))
+        if k == 0:
+            wk[width0:, :pairs] = lay.weight @ read
         else:
-            wt[pairs, width0:] = out.weight[0]
-            wt[pairs + 1, width0:] = -out.weight[0]
-        bt[pairs] = out.bias[0]
-        bt[pairs + 1] = -out.bias[0]
-        layers.append(Layer(wt, bt))
+            wk[width0:, width0:] = lay.weight
+        bk[:, width0:] = lay.bias
+        blocks.append((nets._freeze(wk), bk))
+        prev = w
+    out = template.layers[-1]
+    wt = np.zeros((width0, width0 + prev))
+    bt = np.zeros((M, width0))
+    wt[:pairs, :pairs] = np.eye(pairs)
+    wt[pairs, pairs] = 1.0
+    wt[pairs, pairs + 1] = -1.0
+    wt[pairs + 1, pairs] = -1.0
+    wt[pairs + 1, pairs + 1] = 1.0
+    if template.depth == 1:
+        folded = out.weight @ read
+        wt[pairs, :pairs] += folded[0]
+        wt[pairs + 1, :pairs] -= folded[0]
+    else:
+        wt[pairs, width0:] = out.weight[0]
+        wt[pairs + 1, width0:] = -out.weight[0]
+    bt[:, pairs] = out.bias[..., 0]
+    bt[:, pairs + 1] = -out.bias[..., 0]
+    blocks.append((nets._freeze(wt), bt))
+    layers = [Layer(entry, np.zeros(width0))]
+    for m in range(M):
+        layers.extend(Layer(wk, bk[m]) for wk, bk in blocks)
+    scale = 1.0 / M
     final = np.zeros((1, width0))
     final[0, pairs] = scale
     final[0, pairs + 1] = -scale
@@ -269,21 +289,13 @@ def build_mc_average_net(problem: PdeProblem, budget: Budget, noise: BrownianGri
         raise ValueError("noise grid does not match the budget/problem")
     if abs(noise.T - T) > 0:
         raise ValueError("noise horizon differs from the problem horizon")
-    grid = noise.grid
     growth = (problem.params.C, problem.params.c)
-    paths = [
-        nets.compose(
-            problem.init_net,
-            build_euler_net(
-                problem.drift_net, noise.increments[m], grid, budget.delta, growth
-            ),
-        )
-        for m in range(budget.M)
-    ]
-    if budget.M == 1:
-        net = paths[0]
-    else:
-        net = _pipeline_average(paths, 1.0 / budget.M)
+    increments = noise.increments[0] if budget.M == 1 else noise.increments[: budget.M]
+    template = nets.compose(
+        problem.init_net,
+        build_euler_net(problem.drift_net, increments, noise.grid, budget.delta, growth),
+    )
+    net = template if budget.M == 1 else _pipeline_average(template, budget.M)
     p_count = nets.param_count(net)
     p_bound = solution_param_bound(problem.params, d, budget.N, budget.M, budget.delta)
     if p_count > p_bound:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,18 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
+# The arrays _freeze made, by id; an entry dies with its array.  Each owns
+# its data and is read-only, so it is shared as it is rather than copied.
+_frozen = weakref.WeakValueDictionary()
+
+
 def _freeze(a):
+    if _frozen.get(id(a)) is a:
+        return a
     # adding 0.0 canonicalizes -0.0 entries, keeping serialization stable
     a = np.asarray(a, dtype=np.float64) + 0.0
     a.flags.writeable = False
+    _frozen[id(a)] = a
     return a
 
 
@@ -35,7 +44,10 @@ def _freeze(a):
 class Layer:
     """One affine layer: ``z -> weight @ z + bias``.
 
-    weight has shape (out, in), bias has shape (out,).
+    weight has shape (out, in), bias has shape (out,), or (M, out) for one
+    layer shared by M members that have the same weight and differ only
+    in their biases.  Arrays a layer owns are shared with the layers built
+    from them, never copied.
     """
 
     weight: np.ndarray
@@ -46,12 +58,12 @@ class Layer:
         object.__setattr__(self, "bias", _freeze(self.bias))
         if self.weight.ndim != 2:
             raise ValueError("layer weight must be a matrix")
-        if self.bias.ndim != 1:
-            raise ValueError("layer bias must be a vector")
-        if self.weight.shape[0] != self.bias.shape[0]:
+        if self.bias.ndim not in (1, 2):
+            raise ValueError("layer bias must be a vector or a table of member vectors")
+        if self.weight.shape[0] != self.bias.shape[-1]:
             raise ValueError(
                 "weight rows (%d) != bias length (%d)"
-                % (self.weight.shape[0], self.bias.shape[0])
+                % (self.weight.shape[0], self.bias.shape[-1])
             )
         if self.weight.shape[0] < 1 or self.weight.shape[1] < 1:
             raise ValueError("layer dimensions must be >= 1")
@@ -106,6 +118,11 @@ def param_count(net: Network) -> int:
     return int(sum(dims[k] * (dims[k - 1] + 1) for k in range(1, len(dims))))
 
 
+def _require_single(net: Network, action: str):
+    if any(layer.bias.ndim != 1 for layer in net.layers):
+        raise ValueError("cannot %s a network whose biases carry a member axis" % action)
+
+
 def realize(net: Network, x):
     """Evaluate ``net`` on ``x``.
 
@@ -114,6 +131,7 @@ def realize(net: Network, x):
     final layer is affine.  Single inputs are evaluated as a batch of one
     so that batched and pointwise calls agree bitwise.
     """
+    _require_single(net, "realize")
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
@@ -143,6 +161,8 @@ def compose(f: Network, g: Network) -> Network:
     The last layer of ``g`` is fused with the first layer of ``f`` into
     ``(W1_f @ WL_g, W1_f @ BL_g + B1_f)``; depth is depth(f) + depth(g) - 1.
     The four depth cases of the definition collapse to the same slicing.
+    A bias with a member axis stays one: each member's fused bias is the
+    matrix-vector product ``W1_f @ b`` of its own row b, bit for bit.
     """
     if f.in_dim != g.out_dim:
         raise ValueError(
@@ -150,7 +170,8 @@ def compose(f: Network, g: Network) -> Network:
         )
     w1, b1 = f.layers[0].weight, f.layers[0].bias
     wl, bl = g.layers[-1].weight, g.layers[-1].bias
-    fused = Layer(w1 @ wl, w1 @ bl + b1)
+    # a batch of matrix-vector products; bl @ w1.T would round differently
+    fused = Layer(w1 @ wl, np.matmul(w1, bl[..., None])[..., 0] + b1)
     return Network(g.layers[:-1] + (fused,) + f.layers[1:])
 
 
@@ -231,21 +252,19 @@ def _stacked_layers(nets, depth: int) -> list:
     """First ``depth`` layers of equal-depth nets run side by side on a shared input.
 
     The first layers stack vertically (they read the same input); later
-    layers are block diagonal, so each block only sees its own net.
+    layers are block diagonal, so each block only sees its own net.  Biases
+    are joined along their last axis, a vector repeated for every member
+    where another bias carries a member axis.
     """
-    layers = [
-        Layer(
-            np.vstack([n.layers[0].weight for n in nets]),
-            np.concatenate([n.layers[0].bias for n in nets]),
-        )
-    ]
+
+    def biases(k):
+        bs = [n.layers[k].bias for n in nets]
+        lead = np.broadcast_shapes(*(b.shape[:-1] for b in bs))
+        return np.concatenate([np.broadcast_to(b, lead + b.shape[-1:]) for b in bs], axis=-1)
+
+    layers = [Layer(np.vstack([n.layers[0].weight for n in nets]), biases(0))]
     for k in range(1, depth):
-        layers.append(
-            Layer(
-                _block_diag([n.layers[k].weight for n in nets]),
-                np.concatenate([n.layers[k].bias for n in nets]),
-            )
-        )
+        layers.append(Layer(_block_diag([n.layers[k].weight for n in nets]), biases(k)))
     return layers
 
 
@@ -406,6 +425,7 @@ def write_network(fh, net: Network):
     and each distinct value within it once; the bytes are those of
     formatting every entry in row-major order.
     """
+    _require_single(net, "write")
     # Keyed by the array's bytes alone (Layer stores float64): the text is
     # the flat row-major join, so arrays with equal bytes write equal text
     # whatever their shapes.  A failed format raises before it is stored.
@@ -439,26 +459,27 @@ def network_from_doc(doc: dict) -> Network:
     if len(dims) < 2 or len(doc["layers"]) != len(dims) - 1:
         raise ValueError("dims header inconsistent with layer count")
     # A reader may hand equal arrays as one list (build.deserialize does), so
-    # each distinct list is converted once, keyed by identity: the document
+    # each distinct list is checked and frozen once per shape, keyed by
+    # identity, and the layers that repeat it share one array: the document
     # keeps every list alive for the length of the call.
     arrays = {}
 
-    def array(value):
-        hit = arrays.get(id(value))
+    def array(value, shape, k, what):
+        key = (id(value), shape)
+        hit = arrays.get(key)
         if hit is None:
-            hit = arrays[id(value)] = np.asarray(value, dtype=np.float64)
+            hit = np.asarray(value, dtype=np.float64)
+            if hit.size != math.prod(shape):
+                raise ValueError("layer %d %s size mismatch" % (k, what))
+            if not np.isfinite(hit).all():
+                raise ValueError("layer %d holds a non-finite value" % k)
+            hit = arrays[key] = _freeze(hit.reshape(shape))
         return hit
 
     layers = []
     for k, entry in enumerate(doc["layers"]):
         rows, cols = dims[k + 1], dims[k]
-        weight = array(entry["weight"])
-        if weight.size != rows * cols:
-            raise ValueError("layer %d weight size mismatch" % k)
-        bias = array(entry["bias"])
-        if bias.size != rows:
-            raise ValueError("layer %d bias size mismatch" % k)
-        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
-            raise ValueError("layer %d holds a non-finite value" % k)
-        layers.append(Layer(weight.reshape(rows, cols), bias))
+        weight = array(entry["weight"], (rows, cols), k, "weight")
+        bias = array(entry["bias"], (rows,), k, "bias")
+        layers.append(Layer(weight, bias))
     return Network(tuple(layers))

@@ -189,4 +189,6 @@ def get_problem(name: str, d: int, **kwargs) -> TestProblem:
         raise KeyError(
             "unknown problem %r (available: %s)" % (name, ", ".join(problem_names()))
         )
+    if d < 1:
+        raise ValueError("dimension d must be at least 1, got %d" % d)
     return _REGISTRY[name](d, **kwargs)

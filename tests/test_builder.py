@@ -131,6 +131,104 @@ def test_builder_input_validation():
         build.build_euler_net(drift, np.zeros((2, 1)), _grid(2), 1.5)
     with pytest.raises(ValueError):
         build.build_euler_net(drift, np.zeros((2, 1)), np.array([0.0, 0.3, 1.0]), 0.5)
+    for shape in [(2,), (3, 1), (4, 3, 1), (2, 4, 2, 1)]:
+        with pytest.raises(ValueError, match="increments must have shape"):
+            build.build_euler_net(drift, np.zeros(shape), _grid(2), 0.5)
+    template = build.build_euler_net(drift, np.zeros((3, 2, 1)), _grid(2), 0.5)
+    with pytest.raises(ValueError, match="carry 4 members"):
+        build._pipeline_average(template, 4)
+    with pytest.raises(ValueError, match="scalar"):
+        build._pipeline_average(nets.parallel_stack([template, template]), 3)
+
+
+def _pipeline_average_of_members(members, scale):
+    """The pipeline average of a list of path networks, one weight matrix per member layer."""
+    P = members[0].in_dim
+    pairs = 2 * P
+    width0 = pairs + 2
+    read = np.hstack([np.eye(P), -np.eye(P)])
+    entry = np.zeros((width0, P))
+    entry[:P, :] = np.eye(P)
+    entry[P:pairs, :] = -np.eye(P)
+    layers = [nets.Layer(entry, np.zeros(width0))]
+    for net in members:
+        prev = 0
+        for k in range(net.depth - 1):
+            lay = net.layers[k]
+            w = lay.out_dim
+            wk = np.zeros((width0 + w, width0 + prev))
+            wk[:width0, :width0] = np.eye(width0)
+            bk = np.zeros(width0 + w)
+            if k == 0:
+                wk[width0:, :pairs] = lay.weight @ read
+            else:
+                wk[width0:, width0:] = lay.weight
+            bk[width0:] = lay.bias
+            layers.append(nets.Layer(wk, bk))
+            prev = w
+        out = net.layers[-1]
+        wt = np.zeros((width0, width0 + prev))
+        bt = np.zeros(width0)
+        wt[:pairs, :pairs] = np.eye(pairs)
+        wt[pairs, pairs] = 1.0
+        wt[pairs, pairs + 1] = -1.0
+        wt[pairs + 1, pairs] = -1.0
+        wt[pairs + 1, pairs + 1] = 1.0
+        wt[pairs, width0:] = out.weight[0]
+        wt[pairs + 1, width0:] = -out.weight[0]
+        bt[pairs] = out.bias[0]
+        bt[pairs + 1] = -out.bias[0]
+        layers.append(nets.Layer(wt, bt))
+    final = np.zeros((1, width0))
+    final[0, pairs] = scale
+    final[0, pairs + 1] = -scale
+    layers.append(nets.Layer(final, np.zeros(1)))
+    return nets.Network(tuple(layers))
+
+
+def _assert_layers_equal(a, b):
+    assert a.dims == b.dims
+    for la, lb in zip(a.layers, b.layers):
+        assert la.weight.shape == lb.weight.shape and la.bias.shape == lb.bias.shape
+        assert la.weight.tobytes() == lb.weight.tobytes()
+        assert la.bias.tobytes() == lb.bias.tobytes()
+
+
+@pytest.mark.parametrize(
+    "maker, d, N, M, delta, seed",
+    [
+        (problems.heat_relu_problem, 1, 8, 64, 2.0**-8, 2026),  # the README reference build
+        (problems.quadratic_heat_problem, 1, 3, 4, 2.0**-4, 6),
+        (problems.quadratic_heat_problem, 3, 2, 3, 2.0**-2, 7),
+        (problems.ou_linear_problem, 2, 4, 3, 2.0**-4, 5),
+        (problems.ou_linear_problem, 2, 1, 5, 2.0**-3, 8),  # N = 1
+        (problems.heat_relu_problem, 2, 3, 1, 2.0**-3, 9),  # M = 1
+        (problems.ou_linear_problem, 1, 1, 1, 2.0**-1, 10),
+    ],
+)
+def test_template_build_matches_per_path_builds(maker, d, N, M, delta, seed):
+    # oracle: each path network built from its own increments, then the member-list pipeline
+    pb = maker(d).problem
+    noise = sde.sample_brownian(seed, N, M + 1, d, pb.T, sde.sqrtm_psd(2.0 * pb.A))
+    growth = (pb.params.C, pb.params.c)
+    paths = [
+        build.build_euler_net(pb.drift_net, noise.increments[m], noise.grid, delta, growth)
+        for m in range(M)
+    ]
+    template = build.build_euler_net(pb.drift_net, noise.increments[:M], noise.grid, delta, growth)
+    assert any(l.bias.ndim == 2 for l in template.layers)
+    for m, path in enumerate(paths):
+        member = nets.Network(
+            tuple(nets.Layer(l.weight, l.bias[m] if l.bias.ndim == 2 else l.bias) for l in template.layers)
+        )
+        _assert_layers_equal(member, path)
+    members = [nets.compose(pb.init_net, path) for path in paths]
+    oracle = members[0] if M == 1 else _pipeline_average_of_members(members, 1.0 / M)
+    net = build.build_mc_average_net(pb, bounds.Budget(N=N, M=M, delta=delta), noise).net
+    _assert_layers_equal(net, oracle)
+    if M > 1:
+        # one weight array per template layer, shared by every member, plus entry and exit
+        assert len({id(l.weight) for l in net.layers}) == members[0].depth + 2
 
 
 def test_average_m1_reduces_to_composition():
@@ -328,6 +426,10 @@ def test_reader_matches_json_oracle_on_builds(maker, d, N, M, delta, seed):
     sol = build.solve(maker(d).problem, 1.0, seed=seed, budget_override=bounds.Budget(N=N, M=M, delta=delta))
     back = _assert_reads_as_oracle(build.serialize(sol))
     assert back.provenance == sol.provenance
+    # equal weight matrices load as one shared array, as they were built
+    weights = [l.weight for l in back.net.layers]
+    assert len({id(w) for w in weights}) == len({(w.shape, w.tobytes()) for w in weights})
+    assert len({id(w) for w in weights}) == len({id(l.weight) for l in sol.net.layers})
 
 
 def test_reader_parses_each_distinct_array_text_once(monkeypatch):

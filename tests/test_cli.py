@@ -68,6 +68,21 @@ def test_verify_samples_below_one_exit_two(tmp_path, capsys, samples):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_dimension_below_one_exit_two(tmp_path, capsys, command, d):
+    path = tmp_path / "net.json"
+    if command == "build":
+        args = ["build", "--N", "1", "--M", "1", "--delta", "0.5", "--out", str(path)]
+    else:
+        args = ["verify", "--in", str(path)]
+    assert run(args + ["--problem", "heat_relu", "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: dimension d must be at least 1, got %s\n" % d
+    assert captured.out == ""
+    assert not path.exists()
+
+
 def test_build_with_non_finite_provenance_exit_two_and_keeps_the_file(tmp_path, capsys, monkeypatch):
     # the bound overflows to inf at large kappa and d; the reader would reject such a file
     monkeypatch.setattr(build, "solution_error_bound", lambda *args: math.inf)

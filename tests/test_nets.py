@@ -451,14 +451,80 @@ def test_write_network_matches_per_value_writer(net):
         assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
 
 
-def _shared_weight_members(seed, dims, M):
+def _shared_weight_template(seed, dims, M):
     # like the builder's path networks: one set of weights, biases per member
     gen = np.random.default_rng(seed)
     template = random_net(gen, dims)
-    return [
-        nets.Network(tuple(nets.Layer(l.weight, gen.normal(size=l.out_dim)) for l in template.layers))
-        for _ in range(M)
-    ]
+    return nets.Network(
+        tuple(nets.Layer(l.weight, gen.normal(size=(M, l.out_dim))) for l in template.layers)
+    )
+
+
+def _member(net, m):
+    # member m of a network whose biases may carry a member axis
+    return nets.Network(
+        tuple(nets.Layer(l.weight, l.bias[m] if l.bias.ndim == 2 else l.bias) for l in net.layers)
+    )
+
+
+def _assert_layers_equal(a, b):
+    assert a.dims == b.dims
+    for la, lb in zip(a.layers, b.layers):
+        assert la.weight.shape == lb.weight.shape and la.bias.shape == lb.bias.shape
+        assert la.weight.tobytes() == lb.weight.tobytes()
+        assert la.bias.tobytes() == lb.bias.tobytes()
+
+
+@pytest.mark.parametrize("out_dim, k", [(1, 1), (1, 6), (5, 1), (3, 4), (68, 68), (7, 70)])
+@pytest.mark.parametrize("axis_in", ["both", "inner", "outer"])
+def test_compose_member_biases_match_per_member_matvec(out_dim, k, axis_in):
+    # the fused bias of member m is bitwise w1 @ bl[m] + b1[m], including 1 x 1 and k = 1
+    M = 5
+    gen = np.random.default_rng(out_dim * 100 + k)
+    inner = (M, k) if axis_in in ("both", "inner") else (k,)
+    outer = (M, out_dim) if axis_in in ("both", "outer") else (out_dim,)
+    g = nets.Network((nets.Layer(gen.normal(size=(k, 3)), gen.normal(size=inner)),))
+    f = nets.Network((nets.Layer(gen.normal(size=(out_dim, k)), gen.normal(size=outer)),))
+    fused = nets.compose(f, g).layers[0]
+    assert fused.bias.shape == (M, out_dim)
+    w1 = f.layers[0].weight
+    for m in range(M):
+        bl, b1 = _member(g, m).layers[0].bias, _member(f, m).layers[0].bias
+        assert fused.bias[m].tobytes() == (w1 @ bl + b1).tobytes()
+        _assert_layers_equal(_member(nets.compose(f, g), m), nets.compose(_member(f, m), _member(g, m)))
+
+
+def test_stacked_layers_mix_vector_and_member_biases():
+    # parallel_stack and average_nets repeat a plain bias for every member of another
+    M = 3
+    gen = np.random.default_rng(8)
+    plain = random_net(gen, (2, 4, 3, 2))
+    member = _shared_weight_template(9, (2, 5, 4, 2), M)
+    mixed = nets.Network(
+        (
+            nets.Layer(gen.normal(size=(3, 2)), gen.normal(size=(M, 3))),
+            nets.Layer(gen.normal(size=(3, 3)), gen.normal(size=3)),
+            nets.Layer(gen.normal(size=(2, 3)), gen.normal(size=(M, 2))),
+        )
+    )
+    shallow = _shared_weight_template(10, (2, 3, 2), M)  # padded on the input side
+    group = [plain, member, mixed, shallow]
+    for combine in (nets.parallel_stack, lambda ns: nets.average_nets(ns, [0.5, 2.0, -1.0, 0.25])):
+        together = combine(group)
+        assert [l.bias.shape for l in together.layers] == [(M, l.out_dim) for l in together.layers]
+        for m in range(M):
+            _assert_layers_equal(_member(together, m), combine([_member(n, m) for n in group]))
+
+
+def test_member_axis_network_is_neither_realized_nor_written():
+    # with as many points as members, realize would otherwise broadcast silently
+    net = _shared_weight_template(4, (2, 5, 1), 2)
+    with pytest.raises(ValueError, match="member axis"):
+        nets.realize(net, np.zeros((2, 2)))
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="member axis"):
+        nets.write_network(buf, net)
+    assert buf.getvalue() == ""
 
 
 def _equal_bytes_net():
@@ -482,7 +548,7 @@ def _same_matrix_net(depth, width):
 @pytest.mark.parametrize(
     "net",
     [
-        build._pipeline_average(_shared_weight_members(4, (2, 5, 4, 1), 3), 1.0 / 3),
+        build._pipeline_average(_shared_weight_template(4, (2, 5, 4, 1), 3), 3),
         _equal_bytes_net(),
         _same_matrix_net(6, 4),
     ],
@@ -549,11 +615,67 @@ def test_layer_validation():
     with pytest.raises(ValueError):
         nets.Layer(np.zeros((2, 2)), np.zeros(3))
     with pytest.raises(ValueError):
+        nets.Layer(np.zeros((2, 2)), np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        nets.Layer(np.zeros((2, 2)), np.zeros((4, 1, 2)))
+    with pytest.raises(ValueError):
         nets.Network(())
     with pytest.raises(ValueError):
         nets.Network(
             (nets.Layer(np.zeros((2, 2)), np.zeros(2)), nets.Layer(np.zeros((1, 3)), np.zeros(1)))
         )
+
+
+def test_layer_shares_the_arrays_a_layer_owns():
+    first = nets.Layer(np.ones((2, 3)), np.zeros(2))
+    second = nets.Layer(first.weight, first.bias)
+    assert second.weight is first.weight and second.bias is first.bias
+
+
+def _writable(w):
+    return w, lambda: w.fill(7.0)
+
+
+def _read_only(w):
+    # read-only, but owned by the caller, who may make it writable again
+    w.flags.writeable = False
+
+    def mutate():
+        w.flags.writeable = True
+        w.fill(7.0)
+
+    return w, mutate
+
+
+def _broadcast_view(w):
+    row = w[0].copy()
+    return np.broadcast_to(row, w.shape), lambda: row.fill(7.0)
+
+
+@pytest.mark.parametrize("given", [_writable, _read_only, _broadcast_view])
+def test_layer_copies_arrays_it_did_not_freeze(given):
+    weight, mutate = given(np.array([[-0.0, 1.0, -2.0], [-0.0, 1.0, -2.0]]))
+    layer = nets.Layer(weight, np.array([-0.0, 3.0]))
+    assert layer.weight is not weight and np.array_equal(layer.weight, weight)
+    assert not np.signbit(layer.weight[:, 0]).any() and not np.signbit(layer.bias[0])
+    mutate()
+    assert np.array_equal(layer.weight, [[0.0, 1.0, -2.0], [0.0, 1.0, -2.0]])
+    assert not layer.weight.flags.writeable
+
+
+def test_network_from_doc_shares_each_distinct_list_and_shape():
+    # equal array texts come back as one list; each (list, shape) becomes one array
+    net = _equal_bytes_net()
+    buf = io.StringIO()
+    nets.write_network(buf, net)
+    back = nets.network_from_doc(build._loads(buf.getvalue()))
+    _assert_layers_equal(back, net)
+    weights = [l.weight for l in back.layers]
+    # layers 1 and 3 repeat one matrix; layer 0 holds its text under another shape
+    assert weights[1] is weights[3]
+    assert weights[0] is not weights[1] and weights[0].shape == (2, 3)
+    assert len({id(w) for w in weights}) == len({(w.shape, w.tobytes()) for w in weights})
+    assert all(not w.flags.writeable for w in weights)
 
 
 def test_network_file_round_trip(tmp_path):

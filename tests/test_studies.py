@@ -1,6 +1,9 @@
 """The domination suite: every bound beats its matched empirical quantity."""
 
 import dataclasses
+import pathlib
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -61,3 +64,14 @@ def test_strong_interp_gate_fails_a_wrong_scheme(monkeypatch, name, wrong, seed)
     assert studies.strong_interp_study(paths=20_000, seed=seed)[1]
     monkeypatch.setattr(sde, name, wrong(getattr(sde, name)))
     assert not studies.strong_interp_study(paths=20_000, seed=seed)[1]
+
+
+@pytest.mark.parametrize("wrong, line", [(False, "ok"), (True, "outside 4 standard errors")])
+def test_run_convergence_reports_the_strong_gate(tmp_path, monkeypatch, capsys, wrong, line):
+    # the script's last line names the gate strong_interp_study applies
+    if wrong:
+        monkeypatch.setattr(sde, "interpolate", _interpolate_at_half_time(sde.interpolate))
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_convergence.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--outdir", str(tmp_path), "--paths", "200", "--seed", "4"])
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out.splitlines()[-1] == "strong interpolation check: %s" % line
