@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """End-to-end demo: build the heat-problem solution network, then verify it.
 
-Drives the same code paths as `kolmonet build` / `kolmonet verify` at the
-reference budget (N, M, delta) = (8, 64, 2^-8) and reports the sampled
-L^2 error against the closed-form solution.
+Runs `kolmonet build` and then `kolmonet verify` of the written file, at
+the reference budget (N, M, delta) = (8, 64, 2^-8) unless flags say
+otherwise.  `verify` prints the sampled L^2 error against the closed-form
+solution and against the Monte Carlo average, next to the closed-form
+bound; the exit code is that of the first command that fails.
 """
 
 import argparse
-import math
+import sys
 
-import numpy as np
+from kolmonet import cli
 
-from kolmonet import bounds, build, nets, problems
+PROBLEM = ["--problem", "heat_relu", "--d", "1"]
+SAMPLE_SEED = "123"
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--N", type=int, default=8)
     ap.add_argument("--M", type=int, default=64)
@@ -22,23 +25,13 @@ def main():
     ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument("--samples", type=int, default=1024)
     ap.add_argument("--out", default="heat_solution.json")
-    args = ap.parse_args()
-
-    tp = problems.heat_relu_problem(1)
-    budget = bounds.Budget(N=args.N, M=args.M, delta=args.delta)
-    sol = build.solve(tp.problem, eps=1.0, seed=args.seed, budget_override=budget)
-    build.save_solution(sol, args.out)
-    print("wrote %s (%d parameters)" % (args.out, nets.param_count(sol.net)))
-
-    ts, xs = tp.measure.sample(args.samples, seed=123)
-    got = nets.realize(sol.net, np.column_stack([ts, xs])).ravel()
-    exact = tp.exact_solution(ts, xs)
-    l2 = math.sqrt(float(np.mean((got - exact) ** 2)))
-    cap = bounds.solution_error_bound(
-        tp.problem.params, 1, budget.N, budget.M, budget.delta, tp.measure.mass
-    )
-    print("sampled L2 error vs closed form: %.5f (closed-form bound %.3g)" % (l2, cap))
+    args = ap.parse_args(argv)
+    budget = ["--N", str(args.N), "--M", str(args.M), "--delta", repr(args.delta)]
+    rc = cli.main(["build", *PROBLEM, *budget, "--seed", str(args.seed), "--out", args.out])
+    if rc != cli.EXIT_OK:
+        return rc
+    return cli.main(["verify", "--in", args.out, *PROBLEM, "--samples", str(args.samples), "--seed", SAMPLE_SEED])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

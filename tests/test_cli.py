@@ -2,6 +2,9 @@
 
 import json
 import math
+import pathlib
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -242,3 +245,24 @@ def test_config_not_an_object_exit_two(tmp_path, capsys):
     cfg.write_text("[1, 2]")
     assert run(["plan", "--config", str(cfg)]) == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_build_and_verify_script_runs_build_then_verify(tmp_path, capsys, monkeypatch):
+    # the script is build then verify of the written file, with its own flags
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "build_and_verify.py"
+    out = tmp_path / "heat.json"
+    argv = ["--N", "2", "--M", "3", "--delta", "0.0625", "--seed", "4", "--samples", "64", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", [str(script)] + argv)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    prov = build.load_solution(str(out)).provenance
+    assert (prov["N"], prov["M"], prov["delta"], prov["seed"]) == (2, 3, 0.0625, 4)
+    problem = ["--problem", "heat_relu", "--d", "1"]
+    assert run(["build", *problem, "--N", "2", "--M", "3", "--delta", "0.0625", "--seed", "4",
+                "--out", str(tmp_path / "direct.json")]) == 0
+    assert run(["verify", "--in", str(out), *problem, "--samples", "64", "--seed", "123"]) == 0
+    assert text == capsys.readouterr().out
+    assert text.splitlines()[3] == "lp_error_vs_exact,lp_error_vs_mc_average,solution_error_bound,status"
+    assert (tmp_path / "direct.json").read_bytes() == out.read_bytes()
