@@ -5,12 +5,15 @@ closed-form display from the error analysis; the simulation and builder
 modules are tested against these as the dominating side of each check.
 Values can be astronomically large for realistic inputs, so the planner
 works in log10 space and only materializes integer budgets when they are
-representable.
+representable.  The constants of the error bounds have one evaluation, in
+mpmath; each float bound rounds once, at the end, and raises OverflowError
+with its log10 when the value is beyond the float range.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -163,50 +166,95 @@ class McLpConstants(NamedTuple):
     C_final: float
 
 
-def mc_lp_constants(params: RegularityParams) -> McLpConstants:
-    """The four constants of the Monte Carlo Euler L^p error estimate."""
-    k, eta, p, T = params.kappa, params.eta, params.p, params.T
-    iota = max(k, 1.0)
-    root = max(1.0, math.sqrt(2.0 * max(1.0, 2.0 * k - 1.0) * k))
+# c1 is the solution error constant: the max of its own display and C_final
+_ErrorConstants = namedtuple("_ErrorConstants", "C C1 C2 C_final c1")
+_DPS = 60  # decimal digits of every constant and error-bound evaluation
+
+
+def _error_constants(params: RegularityParams) -> _ErrorConstants:
+    """C, C1, C2, C_final of the Monte Carlo Euler L^p estimate and the
+    solution error constant c1, as mpmath numbers.
+
+    The one evaluation of these displays; call it inside
+    ``mpmath.workdps(_DPS)``.
+    """
+    import mpmath
+
+    k, eta, p, T = map(mpmath.mpf, (params.kappa, params.eta, params.p, params.T))
+    one = mpmath.mpf(1)
+    iota = max(k, one)
+    root = max(one, mpmath.sqrt(2 * max(one, 2 * k - 1) * k))
     C = (
-        math.exp(k * k * T)
-        * 2.0 ** max(0.0, k - 1.0)
-        * (eta + (k * T + max(1.0, math.sqrt(2.0 * (p * iota - 1.0) * k)) * math.sqrt(T)) ** k)
+        mpmath.e ** (k * k * T)
+        * mpmath.mpf(2) ** max(mpmath.mpf(0), k - 1)
+        * (eta + (k * T + max(one, mpmath.sqrt(2 * (p * iota - 1) * k)) * mpmath.sqrt(T)) ** k)
     )
     C1 = (
         iota**2
-        * 2.0**iota
-        * (k + 1.0)
-        * root ** (2.0 * iota)
-        * math.exp((3.0 * iota**2 + 0.5) * T)
-        * max(T, 1.0) ** (k + iota + 1.5)
-        * max(2.0 * k * (k + 1.0), 1.0)
-        * (1.0 + 5.0 * eta * 2.0 ** (k + iota - 1.0) + 5.0 * (4.0 * iota) ** (k + iota) * 2.0 ** (k + iota - 1.0))
+        * mpmath.mpf(2) ** iota
+        * (k + 1)
+        * root ** (2 * iota)
+        * mpmath.e ** ((3 * iota**2 + mpmath.mpf(1) / 2) * T)
+        * max(T, one) ** (k + iota + mpmath.mpf(3) / 2)
+        * max(2 * k * (k + 1), one)
+        * (1 + 5 * eta * mpmath.mpf(2) ** (k + iota - 1) + 5 * (4 * iota) ** (k + iota) * mpmath.mpf(2) ** (k + iota - 1))
     )
     C2 = (
-        (1.0 / math.sqrt(2.0))
-        * k**1.5
-        * math.exp(k * k * T)
-        * 2.0**iota
-        * max(T, 1.0) ** (k + 0.5)
-        * (eta + 1.0 + (k + root) ** k)
+        mpmath.mpf(1) / mpmath.sqrt(2)
+        * k ** mpmath.mpf(1.5)
+        * mpmath.e ** (k * k * T)
+        * mpmath.mpf(2) ** iota
+        * max(T, one) ** (k + mpmath.mpf(1) / 2)
+        * (eta + 1 + (k + root) ** k)
     )
-    C_final = max(C1 + C2, 8.0 * k * (1.0 + C) * math.sqrt(p - 1.0))
-    return McLpConstants(C, C1, C2, C_final)
+    C_final = max(C1 + C2, 8 * k * (1 + C) * mpmath.sqrt(p - 1))
+    c1 = (
+        (2 * p * max(eta, k) * max(T, one) * iota) ** (2 * k + 3)
+        * (1 + mpmath.sqrt(2 * k)) ** (2 * k + 3)
+        * k
+        * mpmath.e ** ((2 * k + 3) * k * T)
+        * mpmath.mpf(2) ** (2 * k + 4)
+        * mpmath.mpf(3) ** k
+    )
+    return _ErrorConstants(C, C1, C2, C_final, max(c1, C_final))
+
+
+def _to_float(name: str, value) -> float:
+    """Round an mpmath value to the nearest float, or raise OverflowError with its log10."""
+    import mpmath
+
+    out = float(value)
+    if math.isinf(out):
+        raise OverflowError("%s exceeds float range: log10 = %.6f" % (name, mpmath.log10(value)))
+    return out
+
+
+def mc_lp_constants(params: RegularityParams) -> McLpConstants:
+    """The four constants of the Monte Carlo Euler L^p error estimate."""
+    import mpmath
+
+    with mpmath.workdps(_DPS):
+        return McLpConstants(*(_to_float("mc_lp_constants", v) for v in _error_constants(params)[:4]))
 
 
 def mc_lp_error_bound(params: RegularityParams, d: int, N: int, M: int, mass: float) -> float:
     """L^p(nu (x) P) error bound for the Monte Carlo Euler functional."""
-    c_final = mc_lp_constants(params).C_final
-    return c_final * _mc_rate(params, d, N, M) * max(1.0, mass) ** (1.0 / params.p)
+    import mpmath
+
+    with mpmath.workdps(_DPS):
+        mass_factor = mpmath.mpf(max(1.0, mass)) ** (1 / mpmath.mpf(params.p))
+        value = _error_constants(params).C_final * _mc_rate(params, d, N, M) * mass_factor
+    return _to_float("mc_lp_error_bound", value)
 
 
-def _mc_rate(params: RegularityParams, d: int, N: int, M: int) -> float:
+def _mc_rate(params: RegularityParams, d: int, N: int, M: int):
     """The Euler and Monte Carlo terms d^a / sqrt(N) + d^b / sqrt(M) shared by both error bounds."""
-    k, eta = params.kappa, params.eta
+    import mpmath
+
+    k, eta, d = mpmath.mpf(params.kappa), mpmath.mpf(params.eta), mpmath.mpf(d)
     return (
-        d ** (k * (k + 4.0) + max(eta, k * (2.0 * k + 1.0))) / math.sqrt(N)
-        + d ** (k + max(eta, k * k)) / math.sqrt(M)
+        d ** (k * (k + 4) + max(eta, k * (2 * k + 1))) / mpmath.sqrt(N)
+        + d ** (k + max(eta, k * k)) / mpmath.sqrt(M)
     )
 
 
@@ -255,32 +303,23 @@ def mc_sum_error_bound(eps: float, d: int, alpha: float, lip: float, M: int, h2,
     return 2.0 * eps * lip * math.sqrt(d) / M * total
 
 
-def _solution_error_constant(params: RegularityParams) -> float:
-    k, eta, p, T = params.kappa, params.eta, params.p, params.T
-    c1 = (
-        (2.0 * p * max(eta, k) * max(T, 1.0) * max(k, 1.0)) ** (2.0 * k + 3.0)
-        * (1.0 + math.sqrt(2.0 * k)) ** (2.0 * k + 3.0)
-        * k
-        * math.exp((2.0 * k + 3.0) * k * T)
-        * 2.0 ** (2.0 * k + 4.0)
-        * 3.0**k
-    )
-    return max(c1, mc_lp_constants(params).C_final)
-
-
 def solution_error_bound(params: RegularityParams, d: int, N: int, M: int, delta: float, mass: float) -> float:
     """L^p(nu) error bound for the built space-time network at budget (N, M, delta)."""
+    import mpmath
+
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
-    k, eta = params.kappa, params.eta
-    return (
-        _solution_error_constant(params)
-        * max(1.0, mass) ** (1.0 / params.p)
-        * (
-            _mc_rate(params, d, N, M)
-            + delta * d ** ((2.0 * k + 3.0) * max(eta, k) + k * k + (7.0 * k + 1.0) / 2.0)
+    with mpmath.workdps(_DPS):
+        k, eta = mpmath.mpf(params.kappa), mpmath.mpf(params.eta)
+        value = (
+            _error_constants(params).c1
+            * mpmath.mpf(max(1.0, mass)) ** (1 / mpmath.mpf(params.p))
+            * (
+                _mc_rate(params, d, N, M)
+                + mpmath.mpf(delta) * mpmath.mpf(d) ** ((2 * k + 3) * max(eta, k) + k * k + (7 * k + 1) / 2)
+            )
         )
-    )
+    return _to_float("solution_error_bound", value)
 
 
 def solution_param_bound(params: RegularityParams, d: int, N: int, M: int, delta: float) -> float:
@@ -446,8 +485,8 @@ def plan_budget(params: RegularityParams, d: int, eps: float) -> BudgetPlan:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     k, eta = params.kappa, params.eta
-    with mpmath.workdps(60):
-        c1 = _solution_error_constant_mp(params)
+    with mpmath.workdps(_DPS):
+        c1 = _error_constants(params).c1
         base = 3 * c1 * eta
         log10_d = mpmath.log10(d)
         log10_eps_inv = -mpmath.log10(eps)
@@ -459,14 +498,7 @@ def plan_budget(params: RegularityParams, d: int, eps: float) -> BudgetPlan:
         log10_delta = min(
             mpmath.mpf(0), -mpmath.log10(base) - log10_eps_inv - exp_delta * log10_d
         )
-        cost_exp = (
-            18.0
-            + 12.0 * k
-            + 4.0 * max(eta, k * k)
-            + 4.0 * eta
-            + (2.0 * k * (k + 4.0) + 2.0 * max(eta, k * (2.0 * k + 1.0)) + 2.0 * eta)
-            * (6.0 + 4.0 * k)
-        )
+        cost_exp = 18.0 + 12.0 * k + 4.0 * max(eta, k * k) + 4.0 * eta + exp_n * (6.0 + 4.0 * k)
         c2 = (
             mpmath.mpf(max(0.0, float(mpmath.log(base, 2))))
             + 1.0 / mpmath.ln(2)
@@ -485,53 +517,6 @@ def plan_budget(params: RegularityParams, d: int, eps: float) -> BudgetPlan:
             eps=eps,
             d=d,
         )
-
-
-def _solution_error_constant_mp(params: RegularityParams):
-    import mpmath
-
-    k, eta, p, T = (
-        mpmath.mpf(params.kappa),
-        mpmath.mpf(params.eta),
-        mpmath.mpf(params.p),
-        mpmath.mpf(params.T),
-    )
-    one = mpmath.mpf(1)
-    iota = max(k, one)
-    root = max(one, mpmath.sqrt(2 * max(one, 2 * k - 1) * k))
-    c1_def = (
-        (2 * p * max(eta, k) * max(T, one) * max(k, one)) ** (2 * k + 3)
-        * (1 + mpmath.sqrt(2 * k)) ** (2 * k + 3)
-        * k
-        * mpmath.e ** ((2 * k + 3) * k * T)
-        * mpmath.mpf(2) ** (2 * k + 4)
-        * mpmath.mpf(3) ** k
-    )
-    C = (
-        mpmath.e ** (k * k * T)
-        * mpmath.mpf(2) ** max(mpmath.mpf(0), k - 1)
-        * (eta + (k * T + max(one, mpmath.sqrt(2 * (p * iota - 1) * k)) * mpmath.sqrt(T)) ** k)
-    )
-    mc1 = (
-        iota**2
-        * mpmath.mpf(2) ** iota
-        * (k + 1)
-        * root ** (2 * iota)
-        * mpmath.e ** ((3 * iota**2 + mpmath.mpf(1) / 2) * T)
-        * max(T, one) ** (k + iota + mpmath.mpf(3) / 2)
-        * max(2 * k * (k + 1), one)
-        * (1 + 5 * eta * mpmath.mpf(2) ** (k + iota - 1) + 5 * (4 * iota) ** (k + iota) * mpmath.mpf(2) ** (k + iota - 1))
-    )
-    mc2 = (
-        mpmath.mpf(1) / mpmath.sqrt(2)
-        * k ** mpmath.mpf(1.5)
-        * mpmath.e ** (k * k * T)
-        * mpmath.mpf(2) ** iota
-        * max(T, one) ** (k + mpmath.mpf(1) / 2)
-        * (eta + 1 + (k + root) ** k)
-    )
-    mc = max(mc1 + mc2, 8 * k * (1 + C) * mpmath.sqrt(p - 1))
-    return max(c1_def, mc)
 
 
 def write_bounds_report(path, rows):

@@ -177,6 +177,79 @@ def test_solution_error_bound_monotone():
     assert bounds.solution_error_bound(P1, 1, 64, 64, 2.0**-2, 1.0) > lo
 
 
+def _bounds_at_100_digits(params, d, N, M, delta):
+    """(solution_error_bound, mc_lp_error_bound) at unit mass, from the displays at 100 digits."""
+    import mpmath
+
+    with mpmath.workdps(100):
+        k, eta, p, T = (mpmath.mpf(v) for v in (params.kappa, params.eta, params.p, params.T))
+        iota, root = max(k, 1), max(1, mpmath.sqrt(2 * max(1, 2 * k - 1) * k))
+        c = mpmath.exp(k * k * T) * 2 ** max(0, k - 1) * (
+            eta + (k * T + max(1, mpmath.sqrt(2 * (p * iota - 1) * k)) * mpmath.sqrt(T)) ** k
+        )
+        c1 = (
+            iota**2 * 2**iota * (k + 1) * root ** (2 * iota) * mpmath.exp((3 * iota**2 + 0.5) * T)
+            * max(T, 1) ** (k + iota + 1.5) * max(2 * k * (k + 1), 1)
+            * (1 + 5 * eta * 2 ** (k + iota - 1) + 5 * (4 * iota) ** (k + iota) * 2 ** (k + iota - 1))
+        )
+        c2 = (
+            k**1.5 * mpmath.exp(k * k * T) * 2**iota * max(T, 1) ** (k + 0.5) * (eta + 1 + (k + root) ** k)
+            / mpmath.sqrt(2)
+        )
+        c_final = max(c1 + c2, 8 * k * (1 + c) * mpmath.sqrt(p - 1))
+        c_solution = max(
+            c_final,
+            (2 * p * max(eta, k) * max(T, 1) * iota * (1 + mpmath.sqrt(2 * k))) ** (2 * k + 3)
+            * k * mpmath.exp((2 * k + 3) * k * T) * 2 ** (2 * k + 4) * 3**k,
+        )
+        d = mpmath.mpf(d)
+        rate = d ** (k * (k + 4) + max(eta, k * (2 * k + 1))) / mpmath.sqrt(N) + d ** (k + max(eta, k * k)) / mpmath.sqrt(M)
+        grid = delta * d ** ((2 * k + 3) * max(eta, k) + k * k + (7 * k + 1) / 2)
+        return c_solution * (rate + grid), c_final * rate
+
+
+@pytest.mark.parametrize("kappa, d", [(8.0, 10), (6.0, 100), (8.0, 100)])
+def test_error_bounds_beyond_float_range_raise_with_their_log10(kappa, d):
+    import mpmath
+
+    params = bounds.RegularityParams(T=1.0, kappa=kappa)
+    want = _bounds_at_100_digits(params, d, 8, 64, 2.0**-8)
+    calls = (
+        ("solution_error_bound", lambda: bounds.solution_error_bound(params, d, 8, 64, 2.0**-8, 1.0)),
+        ("mc_lp_error_bound", lambda: bounds.mc_lp_error_bound(params, d, 8, 64, 1.0)),
+    )
+    for (name, call), exact in zip(calls, want):
+        with pytest.raises(OverflowError, match="^%s exceeds float range: log10 = " % name) as info:
+            call()
+        got = float(str(info.value).rsplit("= ", 1)[1])
+        assert abs(got - float(mpmath.log10(exact))) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "kappa, eta, d, N, M, delta",
+    [
+        (6.0, 1.0, 10, 8, 64, 2.0**-8),
+        (1.0, 1.0, 1, 8, 64, 2.0**-8),
+        (1.0, 3.0, 1, 8, 64, 2.0**-8),  # the heat reference build
+        (1.0, 3.0, 1, 2, 2, 2.0**-4),  # criterion 9's OU build
+        (2.5, 1.0, 3, 5, 7, 0.3),
+        (1.0, 1.0, 2, 10**40, 10**40, 1.0),
+    ],
+)
+def test_error_bounds_are_the_nearest_float_to_the_displays(kappa, eta, d, N, M, delta):
+    params = bounds.RegularityParams(T=1.0, kappa=kappa, eta=eta)
+    sol, mc = _bounds_at_100_digits(params, d, N, M, delta)
+    assert bounds.solution_error_bound(params, d, N, M, delta, 1.0) == float(sol)
+    assert bounds.mc_lp_error_bound(params, d, N, M, 1.0) == float(mc)
+
+
+def test_error_bounds_at_kappa_6_d_10_stay_finite():
+    # the values that float arithmetic gave for these displays
+    params = bounds.RegularityParams(T=1.0, kappa=6.0)
+    assert bounds.solution_error_bound(params, 10, 8, 64, 2.0**-8, 1.0) == pytest.approx(5.715715264208706e234, rel=1e-12)
+    assert bounds.mc_lp_error_bound(params, 10, 8, 64, 1.0) == pytest.approx(1.251827645263219e224, rel=1e-12)
+
+
 def test_plan_budget_minimums_and_scaling():
     plan = bounds.plan_budget(P1, 1, 1.0)
     budget = plan.budget(force=True)

@@ -1,5 +1,6 @@
 """Builder contracts: emulation error, adaptedness, growth, averaging, IO."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -388,6 +389,16 @@ def test_serialize_refuses_non_finite_provenance(tmp_path):
     assert not new.exists()
 
 
+def test_build_with_an_error_bound_beyond_float_range_raises():
+    # at kappa = 8, d = 10 the error bound is near 3e383: the build stops with its log10
+    # rather than hand the writer a provenance that holds inf
+    tp = problems.heat_relu_problem(10)
+    pb = dataclasses.replace(tp.problem, params=dataclasses.replace(tp.problem.params, kappa=8.0))
+    noise = sde.sample_brownian(7, 1, 1, 10, 1.0, sde.sqrtm_psd(2 * pb.A))
+    with pytest.raises(OverflowError, match="^solution_error_bound exceeds float range: log10 = 383.466192$"):
+        build.build_mc_average_net(pb, bounds.Budget(N=1, M=1, delta=0.5), noise)
+
+
 def _deserialize_oracle(data):
     """The reader before each distinct array text was parsed once: json.loads, then np.asarray per layer."""
     doc = json.loads(data.decode(), parse_constant=build._reject_constant)
@@ -534,7 +545,7 @@ def test_serialized_bytes_pinned():
     budget = bounds.Budget(N=2, M=2, delta=2.0**-4)
     data = build.serialize(build.solve(tp.problem, 1.0, seed=31415, budget_override=budget))
     assert len(data) == 67_416
-    assert hashlib.sha256(data).hexdigest() == "7a1b985f70dd9f4f0c549227fa5924fbca67b587d5bfd9b34100e15e02dc3e63"
+    assert hashlib.sha256(data).hexdigest() == "0ee18ded784f8593a22d2b2a305740681a8ce83e1552f337315bb4c0fc7b819a"
 
 
 def test_reference_build_bytes_pinned():
@@ -542,8 +553,38 @@ def test_reference_build_bytes_pinned():
     tp = problems.heat_relu_problem(1)
     budget = bounds.Budget(N=8, M=64, delta=2.0**-8)
     data = build.serialize(build.solve(tp.problem, 1.0, seed=2026, budget_override=budget))
-    assert len(data) == 23_350_889
-    assert hashlib.sha256(data).hexdigest() == "0732a6d8356ab1f764b787f22174acfad4115dc479c7bf3318ef9da604a234e4"
+    assert len(data) == 23_350_890
+    assert hashlib.sha256(data).hexdigest() == "72c5caa0feac59b9b020171c1efe58c0ea5a3281581b9e1d3ec80d2ee04c6702"
+
+
+@pytest.mark.parametrize(
+    "maker, seed, budget, new_bound, old_bound, length, digest",
+    [
+        (
+            problems.heat_relu_problem, 2026, bounds.Budget(N=8, M=64, delta=2.0**-8),
+            280555821131.07965, 280555821131.0795, 23_350_889,
+            "0732a6d8356ab1f764b787f22174acfad4115dc479c7bf3318ef9da604a234e4",
+        ),
+        (
+            problems.ou_linear_problem, 31415, bounds.Budget(N=2, M=2, delta=2.0**-4),
+            858725893750.4617, 858725893750.4613, 67_416,
+            "7a1b985f70dd9f4f0c549227fa5924fbca67b587d5bfd9b34100e15e02dc3e63",
+        ),
+    ],
+)
+def test_pinned_builds_differ_from_the_float_bounds_only_in_the_error_bound(
+    maker, seed, budget, new_bound, old_bound, length, digest
+):
+    # old_bound is the display evaluated in float arithmetic, rounded at every step; with it
+    # in place the file is byte for byte the one that evaluation gives, so the way the error
+    # bound is evaluated reaches no other field
+    sol = build.solve(maker(1).problem, 1.0, seed=seed, budget_override=budget)
+    values = sol.provenance["bound_values"]
+    assert values["error_bound_unit_mass"] == new_bound
+    values["error_bound_unit_mass"] = old_bound
+    data = build.serialize(sol)
+    assert len(data) == length
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_save_solution_rewrites_in_place_to_the_new_length(tmp_path):
@@ -555,7 +596,7 @@ def test_save_solution_rewrites_in_place_to_the_new_length(tmp_path):
     build.save_solution(small, path)
     data = path.read_bytes()
     assert data == build.serialize(small)
-    assert hashlib.sha256(data).hexdigest() == "7a1b985f70dd9f4f0c549227fa5924fbca67b587d5bfd9b34100e15e02dc3e63"
+    assert hashlib.sha256(data).hexdigest() == "0ee18ded784f8593a22d2b2a305740681a8ce83e1552f337315bb4c0fc7b819a"
     large = build.solve(tp.problem, 1.0, seed=7, budget_override=bounds.Budget(N=4, M=4, delta=2.0**-4))
     assert len(build.serialize(large)) > len(data)
     build.save_solution(large, path)

@@ -87,7 +87,8 @@ def test_dimension_below_one_exit_two(tmp_path, capsys, command, d):
 
 
 def test_build_with_non_finite_provenance_exit_two_and_keeps_the_file(tmp_path, capsys, monkeypatch):
-    # the bound overflows to inf at large kappa and d; the reader would reject such a file
+    # the error bound raises OverflowError rather than return inf, so this guards the writer
+    # against any non-finite provenance value; the reader would reject such a file
     monkeypatch.setattr(build, "solution_error_bound", lambda *args: math.inf)
     out = tmp_path / "net.json"
     out.write_bytes(b"an earlier build")
@@ -266,3 +267,22 @@ def test_build_and_verify_script_runs_build_then_verify(tmp_path, capsys, monkey
     assert text == capsys.readouterr().out
     assert text.splitlines()[3] == "lp_error_vs_exact,lp_error_vs_mc_average,solution_error_bound,status"
     assert (tmp_path / "direct.json").read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        ([], ["study", "bounds", "--seed", "505", "--out", "bounds_report.csv"]),
+        (["--seed", "7", "--out", "r.csv"], ["study", "bounds", "--seed", "7", "--out", "r.csv"]),
+    ],
+)
+@pytest.mark.parametrize("code", [0, 1])
+def test_run_bounds_report_script_is_study_bounds(monkeypatch, argv, want, code):
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_report.py"
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda args: seen.append(args) or code)
+    monkeypatch.setattr(sys, "argv", [str(script)] + argv)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_.value.code == code
+    assert seen == [want]
