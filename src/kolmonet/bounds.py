@@ -17,7 +17,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .sde import write_convergence_csv
+import numpy as np
 
 LOG10_OVERFLOW = 300.0
 
@@ -267,9 +267,9 @@ def product_size_budget(eps: float, q: float) -> float:
     return (720.0 * q / (q - 2.0)) * (math.log2(1.0 / eps) + q + 1.0) - 504.0
 
 
-def drift_growth_envelope(x_norm: float, C: float, c: float, tau_n: float, max_partial_sum: float) -> float:
-    """Gronwall envelope g_n = (||x|| + C tau_n + max_m ||sum_{k<=m} y_k||) e^{c tau_n}."""
-    return (x_norm + C * tau_n + max_partial_sum) * math.exp(c * tau_n)
+def drift_growth_envelope(x_norm, C: float, c: float, tau_n, max_partial_sum):
+    """Gronwall envelope g_n = (||x|| + C tau_n + max_m ||sum_{k<=m} y_k||) e^{c tau_n}, elementwise."""
+    return (x_norm + C * tau_n + max_partial_sum) * np.exp(c * tau_n)
 
 
 def euler_emulation_error_bound(eps: float, d: int, q: float, g_n: float, g_n1: float) -> float:
@@ -279,28 +279,31 @@ def euler_emulation_error_bound(eps: float, d: int, q: float, g_n: float, g_n1: 
     return eps * (2.0 * math.sqrt(d) + g_n**q + g_n1**q)
 
 
-def path_growth_factor(x_norm: float, C: float, c: float, T: float, max_noise_norm: float, r: float) -> float:
-    """h_{m,r} = 1 + (||x|| + C T + max_n ||B W_n||)^r e^{r c T}."""
-    return 1.0 + (x_norm + C * T + max_noise_norm) ** r * math.exp(r * c * T)
+def path_growth_factor(x_norm, C: float, c: float, T: float, max_noise_norm, r: float):
+    """h_{m,r} = 1 + (||x|| + C T + max_n ||B W_n||)^r e^{r c T}, elementwise.
+
+    The power is numpy's on scalars too, so a scalar call gives the bits
+    of the array call (Python's float power rounds some values apart).
+    """
+    return 1.0 + np.asarray(x_norm + C * T + max_noise_norm) ** r * np.exp(r * c * T)
 
 
-def mc_sum_error_bound(eps: float, d: int, alpha: float, lip: float, M: int, h2, h3) -> float:
+def mc_sum_error_bound(eps: float, d: int, alpha: float, lip: float, M: int, h2, h3):
     """Deviation bound of the averaged scheme network from the direct MC average.
 
     (2 eps lip sqrt(d) / M) * sum_m (1 + 2 d^{alpha/2} 6^alpha h2[m]^alpha) h3[m],
-    with h2/h3 the per-path growth factors at orders 2 and q.
+    with h2/h3 the per-path growth factors at orders 2 and q.  The paths
+    run along the last axis of h2 and h3 (sequences or arrays of shape
+    (..., M)); the result holds one bound per leading index.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    h2 = list(h2)
-    h3 = list(h3)
-    if len(h2) != M or len(h3) != M:
+    h2 = np.asarray(h2, dtype=np.float64)
+    h3 = np.asarray(h3, dtype=np.float64)
+    if h2.shape[-1:] != (M,) or h3.shape[-1:] != (M,):
         raise ValueError("need one growth factor pair per path")
-    total = sum(
-        (1.0 + 2.0 * d ** (alpha / 2.0) * 6.0**alpha * a**alpha) * b
-        for a, b in zip(h2, h3)
-    )
-    return 2.0 * eps * lip * math.sqrt(d) / M * total
+    terms = (1.0 + 2.0 * d ** (alpha / 2.0) * 6.0**alpha * h2**alpha) * h3
+    return 2.0 * eps * lip * math.sqrt(d) / M * terms.sum(axis=-1)
 
 
 def solution_error_bound(params: RegularityParams, d: int, N: int, M: int, delta: float, mass: float) -> float:
@@ -518,11 +521,3 @@ def plan_budget(params: RegularityParams, d: int, eps: float) -> BudgetPlan:
             d=d,
         )
 
-
-def write_bounds_report(path, rows):
-    """Write the bounds-report CSV: (bound_name, formula, inputs, value, empirical, slack)."""
-    write_convergence_csv(
-        path,
-        [(n, f, i, float(v), float(e), float(v - e)) for n, f, i, v, e in rows],
-        header=("bound_name", "formula", "inputs", "value", "empirical", "slack"),
-    )

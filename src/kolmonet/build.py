@@ -149,7 +149,6 @@ def build_euler_net(
     grid: np.ndarray,
     delta: float,
     growth=(0.0, 0.0),
-    q: float = 3.0,
 ) -> Network:
     """Space-time network emulating one linearly interpolated Euler path.
 
@@ -160,12 +159,11 @@ def build_euler_net(
     is the uniform grid n T / N, and ``growth`` = (C, c) bounds the drift
     by ||drift(x)|| <= C + c ||x||.  The result maps (t, x) in R^{d+1} to
     an approximation of Y_t^{x,y} with error at most
-    delta (2 sqrt(d) + g_n^q + g_{n+1}^q) on cell n (q >= 3).
+    delta (2 sqrt(d) + g_n^3 + g_{n+1}^3) on cell n, with g_n the Gronwall
+    envelope of ``bounds.drift_growth_envelope``.
     """
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
-    if q < 3.0:
-        raise ValueError("error exponent q must be >= 3")
     increments = np.asarray(increments, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
     N = len(grid) - 1
@@ -216,10 +214,11 @@ def build_euler_net(
 def _pipeline_average(template: Network, M: int) -> Network:
     """Network realizing (1/M) sum_m realize(member m, .) via a depth pipeline.
 
-    Member m of the scalar network ``template`` has its weights and row m
-    of each bias that carries a member axis.  Inputs are carried as
-    rectified (positive, negative) channel pairs; member blocks execute one
-    after another and feed a running accumulator pair.  Parameter count is
+    Member m of the scalar network ``template`` (of depth >= 2, as every
+    built path network is) has its weights and row m of each bias that
+    carries a member axis.  Inputs are carried as rectified (positive,
+    negative) channel pairs; member blocks execute one after another and
+    feed a running accumulator pair.  Parameter count is
     linear in M, while the pipeline weight of each template layer is formed
     once and shared by all M blocks.
     """
@@ -257,13 +256,8 @@ def _pipeline_average(template: Network, M: int) -> Network:
     wt[pairs, pairs + 1] = -1.0
     wt[pairs + 1, pairs] = -1.0
     wt[pairs + 1, pairs + 1] = 1.0
-    if template.depth == 1:
-        folded = out.weight @ read
-        wt[pairs, :pairs] += folded[0]
-        wt[pairs + 1, :pairs] -= folded[0]
-    else:
-        wt[pairs, width0:] = out.weight[0]
-        wt[pairs + 1, width0:] = -out.weight[0]
+    wt[pairs, width0:] = out.weight[0]
+    wt[pairs + 1, width0:] = -out.weight[0]
     bt[:, pairs] = out.bias[..., 0]
     bt[:, pairs + 1] = -out.bias[..., 0]
     blocks.append((nets._freeze(wt), bt))

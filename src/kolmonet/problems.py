@@ -39,7 +39,6 @@ class TestProblem:
     problem: PdeProblem
     exact_solution: Callable
     measure: UniformSpaceTimeMeasure
-    notes: str = ""
     init_accuracy: float = 0.0
 
 
@@ -88,7 +87,6 @@ def heat_relu_problem(d: int, T: float = 1.0, alpha: float = -1.0, beta: float =
         problem=problem,
         exact_solution=exact,
         measure=UniformSpaceTimeMeasure(T, alpha, beta, d),
-        notes="zero drift, unit diffusion; solution exact for all (t, x)",
     )
 
 
@@ -124,7 +122,6 @@ def ou_linear_problem(d: int, T: float = 1.0, a: float = 0.5, alpha: float = -1.
         problem=problem,
         exact_solution=exact,
         measure=UniformSpaceTimeMeasure(T, alpha, beta, d),
-        notes="mean of the OU process; diffusion strength does not enter",
     )
 
 
@@ -168,7 +165,6 @@ def quadratic_heat_problem(d: int, R: float = 8.0, T: float = 1.0, eps_coord: fl
         problem=problem,
         exact_solution=exact,
         measure=UniformSpaceTimeMeasure(T, -bound, bound, d),
-        notes="initial condition exercises the product blocks; valid on [-R, R]^d",
         init_accuracy=float(d) * eps_coord,
     )
 

@@ -220,6 +220,19 @@ def sample_brownian(seed: int, N: int, M: int, d: int, T: float, B=None) -> Brow
     return BrownianGrid(seed=seed, N=N, M=M, d=d, T=float(T), increments=increments, diffusion=B)
 
 
+def walk_norms(increments) -> np.ndarray:
+    """Norms ||sum_{k<n} y_k|| of the partial sums of the increments, n = 0..N.
+
+    ``increments`` has shape (..., N, d); the result has shape (..., N+1)
+    and starts with the empty sum's 0.
+    """
+    increments = np.asarray(increments, dtype=np.float64)
+    *lead, N, d = increments.shape
+    walk = np.zeros((*lead, N + 1, d))
+    np.cumsum(increments, axis=-2, out=walk[..., 1:, :])
+    return np.linalg.norm(walk, axis=-1)
+
+
 def _as_fn(fn):
     """A callable on (batch, d) arrays from a Network, a callable, or None (zero)."""
     if fn is None:

@@ -158,12 +158,8 @@ def _moment_row(name: str, d: int, q: float, paths: int, N: int, seed: int):
         bounds.gaussian_moment_bound(q, pb.T * trace),
     )
     # pathwise Gronwall envelope on the grid
-    walk = np.empty((paths, N + 1, d))
-    walk[:, 0] = 0.0
-    np.cumsum(noise.increments, axis=1, out=walk[:, 1:])
-    running_max = np.maximum.accumulate(np.linalg.norm(walk, axis=2), axis=1)
-    taus = noise.grid[None, :]
-    envelope = (np.linalg.norm(x0) + C * taus + running_max) * np.exp(c * taus)
+    running_max = np.maximum.accumulate(sde.walk_norms(noise.increments), axis=1)
+    envelope = bounds.drift_growth_envelope(np.linalg.norm(x0), C, c, noise.grid[None, :], running_max)
     violations = int((norms > envelope * (1 + 1e-12) + 1e-12).sum())
     row_ok = emp <= bound + 3.0 * se_emp and violations == 0
     return (name, d, q, emp, se_emp, bound, violations), row_ok
@@ -356,20 +352,17 @@ def bounds_study(seed: int = 505):
     trace = float(np.trace(B.T @ B))
     N, paths = 8, 20_000
     noise = sde.sample_brownian(seed + 5, N, paths, 1, tp.problem.T, B)
-    walk = np.concatenate(
-        [np.zeros((paths, 1, 1)), np.cumsum(noise.increments, axis=1)], axis=1
-    )
-    max_walk = np.linalg.norm(walk, axis=2).max(axis=1)
+    max_walk = sde.walk_norms(noise.increments).max(axis=1)
     ts, xs = tp.measure.sample(2048, seed + 6)
     xnorm = np.linalg.norm(xs, axis=1)
-    C_eff = tp.problem.params.C * tp.problem.T
-    h2 = 1.0 + (xnorm[:, None] + C_eff + max_walk[None, :]) ** 2  # c = 0
+    C, c = tp.problem.params.C, tp.problem.params.c
+    h2 = bounds.path_growth_factor(xnorm[:, None], C, c, tp.problem.T, max_walk[None, :], 2.0)
     emp = math.sqrt((h2**2).mean())
     per_point = (h2**2).mean(axis=1)
     se = per_point.std(ddof=1) / math.sqrt(len(per_point)) / (2 * emp)
     cal_c = max(1.0, (xnorm ** 8).mean() ** (1.0 / 8.0))
     mart = bounds.gaussian_moment_bound(4.0, tp.problem.T * trace)
-    val = bounds.gronwall_moment_bound(2.0, 2.0, 0.0, C_eff, cal_c, mart, tp.measure.mass)
+    val = bounds.gronwall_moment_bound(2.0, 2.0, c, C * tp.problem.T, cal_c, mart, tp.measure.mass)
     rows.append(("gronwall_moment_bound", "growth-factor", "r=2;q=2", val, emp - 3 * se))
 
     # builder: emulation error, averaged deviation, parameter bounds
@@ -384,6 +377,7 @@ def bounds_study(seed: int = 505):
     psi = build.build_euler_net(
         tp1.problem.drift_net, noise.increments[0], noise.grid, budget.delta
     )
+    running_max = np.maximum.accumulate(sde.walk_norms(noise.increments[0]))
     worst_ratio = 0.0
     for t in np.linspace(0.0, 1.0, 9):
         for xv in (-1.0, 0.0, 1.5):
@@ -392,14 +386,10 @@ def bounds_study(seed: int = 505):
             st = sde.euler_grid(x, tp1.problem.drift_net, noise)
             exact = sde.interpolate(st, t)[0]
             n = min(int(t * budget.N), budget.N - 1)
-            walk = np.concatenate([np.zeros((1, 1)), np.cumsum(noise.increments[0], axis=0)])
-            gs = [
-                bounds.drift_growth_envelope(
-                    abs(xv), 0.0, 0.0, m / budget.N, np.linalg.norm(walk[: m + 1], axis=1).max()
-                )
-                for m in (n, n + 1)
-            ]
-            limit = bounds.euler_emulation_error_bound(budget.delta, 1, 3.0, gs[0], gs[1])
+            g_lo, g_hi = bounds.drift_growth_envelope(
+                abs(xv), 0.0, 0.0, np.array([n, n + 1]) / budget.N, running_max[n : n + 2]
+            )
+            limit = bounds.euler_emulation_error_bound(budget.delta, 1, 3.0, g_lo, g_hi)
             dev = float(np.abs(approx - exact).max())
             worst_ratio = max(worst_ratio, dev / limit)
     rows.append(

@@ -145,20 +145,15 @@ def test_criterion_7_builder_contract(report):
                     xs = gen.uniform(-1.5, 1.5, size=(K, d))
                     got = nets.realize(sol.net, np.column_stack([ts, xs])).ravel()
                     want = _direct_average_batch(tp, noise, M, ts, xs)
-                    walk = np.concatenate(
-                        [np.zeros((M, 1, d)), np.cumsum(noise.increments[:M], axis=1)], axis=1
-                    )
-                    max_walk = np.linalg.norm(walk, axis=2).max(axis=1)
+                    norms = sde.walk_norms(noise.increments[:M])  # (M, N+1)
                     xn = np.linalg.norm(xs, axis=1)
                     C, c = growth
                     lip = math.sqrt(d)  # initial net is the coordinate sum
-                    h2 = 1.0 + (xn[:, None] + C * pb.T + max_walk[None, :]) ** 2 * math.exp(
-                        2 * c * pb.T
+                    h2, h3 = (
+                        bounds.path_growth_factor(xn[:, None], C, c, pb.T, norms.max(axis=1), r)
+                        for r in (2.0, 3.0)
                     )
-                    h3 = 1.0 + (xn[:, None] + C * pb.T + max_walk[None, :]) ** 3 * math.exp(
-                        3 * c * pb.T
-                    )
-                    caps = 2 * delta * lip * math.sqrt(d) / M * (3.0 * h3).sum(axis=1)
+                    caps = bounds.mc_sum_error_bound(delta, d, pb.params.alpha, lip, M, h2, h3)
                     deviation_violations += int((np.abs(got - want) > caps).sum())
                     # (c) growth on the first path network
                     psi = build.build_euler_net(
@@ -167,20 +162,13 @@ def test_criterion_7_builder_contract(report):
                     vals = np.linalg.norm(
                         nets.realize(psi, np.column_stack([ts, xs])), axis=1
                     )
-                    walk0 = np.concatenate(
-                        [np.zeros((1, d)), np.cumsum(noise.increments[0], axis=0)]
-                    )
-                    wn = np.linalg.norm(walk0, axis=1)
+                    running_max = np.maximum.accumulate(norms[0])
                     n_idx = np.minimum((ts * N / pb.T).astype(int), N - 1)
-                    for j in range(K):
-                        g_lo = bounds.drift_growth_envelope(
-                            xn[j], C, c, noise.grid[n_idx[j]], wn[: n_idx[j] + 1].max()
-                        )
-                        g_hi = bounds.drift_growth_envelope(
-                            xn[j], C, c, noise.grid[n_idx[j] + 1], wn[: n_idx[j] + 2].max()
-                        )
-                        if vals[j] > 6 * math.sqrt(d) + 2 * (g_lo**2 + g_hi**2):
-                            growth_violations += 1
+                    g_lo, g_hi = (
+                        bounds.drift_growth_envelope(xn, C, c, noise.grid[n], running_max[n])
+                        for n in (n_idx, n_idx + 1)
+                    )
+                    growth_violations += int((vals > 6 * math.sqrt(d) + 2 * (g_lo**2 + g_hi**2)).sum())
         # (c) adaptedness per (d, N): exact equality on a shared prefix
         for N in (2, 8):
             y = gen.normal(size=(N, d))

@@ -155,6 +155,27 @@ def test_path_growth_factor_value():
     assert v == pytest.approx(1.0 + (1.0 + 1.0 + 0.3) ** 3 * math.exp(3 * 0.2 * 2.0), rel=1e-15)
 
 
+def test_growth_evaluators_on_arrays_equal_their_scalar_and_list_calls():
+    gen = np.random.default_rng(10)
+    xn = gen.uniform(0.0, 3.0, size=(7, 1))
+    taus = gen.uniform(0.0, 1.0, size=5)
+    walk = gen.uniform(0.0, 2.0, size=5)
+    g = bounds.drift_growth_envelope(xn, 0.5, 1.0, taus, walk)
+    h2, h3 = (bounds.path_growth_factor(xn, 0.5, 1.0, 1.0, walk, r) for r in (2.0, 3.0))
+    assert g.shape == h2.shape == h3.shape == (7, 5)
+    caps = bounds.mc_sum_error_bound(0.01, 2, 1.5, 1.0, 5, h2, h3)
+    assert caps.shape == (7,)
+    for i in range(7):
+        x = float(xn[i, 0])
+        for j in range(5):
+            assert g[i, j] == bounds.drift_growth_envelope(x, 0.5, 1.0, float(taus[j]), float(walk[j]))
+            assert h2[i, j] == bounds.path_growth_factor(x, 0.5, 1.0, 1.0, float(walk[j]), 2.0)
+            assert h3[i, j] == bounds.path_growth_factor(x, 0.5, 1.0, 1.0, float(walk[j]), 3.0)
+        assert caps[i] == bounds.mc_sum_error_bound(0.01, 2, 1.5, 1.0, 5, h2[i].tolist(), h3[i].tolist())
+    with pytest.raises(ValueError, match="one growth factor pair per path"):
+        bounds.mc_sum_error_bound(0.01, 2, 1.5, 1.0, 4, h2, h3)
+
+
 # ---------------------------------------------------------------------------
 # solution-network bounds and planner
 

@@ -18,20 +18,6 @@ def _grid(N, T=1.0):
     return np.arange(N + 1) * (T / N)
 
 
-def _envelopes(x, increments, C, c, grid, n):
-    """Gronwall envelopes g_n and g_{n+1} for one path."""
-    walk = np.concatenate([np.zeros((1, increments.shape[1])), np.cumsum(increments, axis=0)])
-    norms = np.linalg.norm(walk, axis=1)
-    out = []
-    for m in (n, n + 1):
-        out.append(
-            bounds.drift_growth_envelope(
-                float(np.linalg.norm(x)), C, c, grid[m], float(norms[: m + 1].max())
-            )
-        )
-    return out
-
-
 def _zero_drift(d):
     return nets.affine_net(np.zeros((d, d)), np.zeros(d))
 
@@ -52,6 +38,7 @@ def test_grid_time_deviation_within_bound():
     inc = gen.normal(scale=0.5, size=(N, d))
     grid = _grid(N)
     psi = build.build_euler_net(drift, inc, grid, delta, growth=(0.0, 1.0))
+    running_max = np.maximum.accumulate(sde.walk_norms(inc))
     for x in (-1.2, 0.0, 0.7):
         noise = sde.BrownianGrid(
             seed=0, N=N, M=1, d=d, T=1.0, increments=inc[None], diffusion=np.eye(d)
@@ -60,7 +47,8 @@ def test_grid_time_deviation_within_bound():
         for n in range(N + 1):
             val = nets.realize(psi, np.array([grid[n], x]))
             want = state.grid_values[0, n]
-            g = _envelopes(np.array([x]), inc, 0.0, 1.0, grid, min(n, N - 1))
+            m = min(n, N - 1)
+            g = bounds.drift_growth_envelope(abs(x), 0.0, 1.0, grid[m : m + 2], running_max[m : m + 2])
             cap = bounds.euler_emulation_error_bound(delta, d, 3.0, g[0], g[1])
             assert np.abs(val - want).max() <= cap
 
@@ -75,6 +63,7 @@ def test_random_points_deviation_within_bound():
     noise = sde.BrownianGrid(
         seed=0, N=N, M=1, d=d, T=1.0, increments=inc[None], diffusion=np.eye(d)
     )
+    running_max = np.maximum.accumulate(sde.walk_norms(inc))
     worst = 0.0
     for _ in range(1000):
         t = gen.uniform(0.0, 1.0)
@@ -83,7 +72,7 @@ def test_random_points_deviation_within_bound():
         want = sde.interpolate(state, t)[0]
         got = nets.realize(psi, np.concatenate([[t], x]))
         n = min(int(t * N), N - 1)
-        g = _envelopes(x, inc, 0.0, 1.0, grid, n)
+        g = bounds.drift_growth_envelope(np.linalg.norm(x), 0.0, 1.0, grid[n : n + 2], running_max[n : n + 2])
         cap = bounds.euler_emulation_error_bound(delta, d, 3.0, g[0], g[1])
         dev = np.abs(got - want).max()
         worst = max(worst, dev / cap)
@@ -119,11 +108,13 @@ def test_growth_bound_sampled():
             ts = gen.uniform(0, 1, size=313)
             xs = gen.uniform(-3, 3, size=(313, d))
             vals = np.linalg.norm(nets.realize(psi, np.column_stack([ts, xs])), axis=1)
-            for j in range(313):
-                n = min(int(ts[j] * N), N - 1)
-                g = _envelopes(xs[j], y, 0.0, 1.0, grid, n)
-                cap = 6 * math.sqrt(d) + 2 * (g[0] ** 2 + g[1] ** 2)
-                assert vals[j] <= cap
+            running_max = np.maximum.accumulate(sde.walk_norms(y))
+            n = np.minimum((ts * N).astype(int), N - 1)
+            g_lo, g_hi = (
+                bounds.drift_growth_envelope(np.linalg.norm(xs, axis=1), 0.0, 1.0, grid[m], running_max[m])
+                for m in (n, n + 1)
+            )
+            assert np.all(vals <= 6 * math.sqrt(d) + 2 * (g_lo**2 + g_hi**2))
 
 
 def test_builder_input_validation():
@@ -269,16 +260,10 @@ def test_average_deviation_within_mc_sum_bound():
     xs = gen.uniform(-1, 1, size=(128, 1))
     got = nets.realize(sol.net, np.column_stack([ts, xs])).ravel()
     want = _direct_mc_average(tp, noise, budget.M, ts, xs)
-    walk = np.concatenate(
-        [np.zeros((budget.M, 1, 1)), np.cumsum(noise.increments, axis=1)], axis=1
-    )
-    max_walk = np.linalg.norm(walk, axis=2).max(axis=1)
-    for i in range(len(ts)):
-        xn = abs(float(xs[i, 0]))
-        h2 = [bounds.path_growth_factor(xn, 0.0, 0.0, 1.0, w, 2.0) for w in max_walk]
-        h3 = [bounds.path_growth_factor(xn, 0.0, 0.0, 1.0, w, 3.0) for w in max_walk]
-        cap = bounds.mc_sum_error_bound(budget.delta, 1, 0.0, 1.0, budget.M, h2, h3)
-        assert abs(got[i] - want[i]) <= cap
+    max_walk = sde.walk_norms(noise.increments).max(axis=1)
+    h2, h3 = (bounds.path_growth_factor(np.abs(xs), 0.0, 0.0, 1.0, max_walk, r) for r in (2.0, 3.0))
+    caps = bounds.mc_sum_error_bound(budget.delta, 1, 0.0, 1.0, budget.M, h2, h3)
+    assert np.all(np.abs(got - want) <= caps)
 
 
 def test_param_count_within_bound_small_instance():

@@ -286,3 +286,51 @@ def test_run_bounds_report_script_is_study_bounds(monkeypatch, argv, want, code)
         runpy.run_path(str(script), run_name="__main__")
     assert exit_.value.code == code
     assert seen == [want]
+
+
+def test_plan_prints_a_buildable_budget(capsys):
+    assert run(["plan", "--d", "1", "--eps", "1", "--kappa", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "N 6331426257991"
+    assert [line.split()[0] for line in lines] == ["cost_exponent_c", "log10_guaranteed_params", "N", "M", "delta"]
+    assert int(lines[3].split()[1]) >= 1
+    assert 0.0 < float(lines[4].split()[1]) <= 1.0
+
+
+def test_verify_out_file_equals_stdout(tmp_path, capsys):
+    net, report = tmp_path / "ou.json", tmp_path / "verify.csv"
+    args = ["build", "--problem", "ou_linear", "--d", "1", "--N", "2", "--M", "2", "--delta", "0.0625", "--seed", "2026"]
+    assert run(args + ["--out", str(net)]) == 0
+    capsys.readouterr()
+    verify = ["verify", "--in", str(net), "--problem", "ou_linear", "--d", "1", "--samples", "64", "--seed", "5"]
+    assert run(verify + ["--out", str(report)]) == 0
+    assert report.read_text() == capsys.readouterr().out
+
+
+def test_study_weak_out_file_has_header_and_slope_row(tmp_path, capsys):
+    out = tmp_path / "weak.csv"
+    assert run(["study", "weak", "--paths", "500", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "N,M,estimate,std_error,bound"
+    assert [line.split(",")[:2] for line in lines[1:-1]] == [[str(n), "500"] for n in (2, 4, 8, 16, 32, 64)]
+    label, empty, slope, empty2, cap = lines[-1].split(",")
+    assert (label, empty, empty2, float(cap)) == ("slope", "", "", -0.35)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-2] == "slope,,%r,,-0.35" % float(slope)
+    assert float(slope) <= -0.35
+
+
+def test_solution_file_cut_inside_its_last_array_exit_two(tmp_path, capsys):
+    net = tmp_path / "ou.json"
+    args = ["build", "--problem", "ou_linear", "--d", "1", "--N", "2", "--M", "2", "--delta", "0.0625", "--seed", "2026"]
+    assert run(args + ["--out", str(net)]) == 0
+    data = net.read_bytes()
+    cut = data[: data.rindex(b"[") + 2]  # the reader finds no "]" after the last "["
+    assert b"]" not in cut[cut.rindex(b"[") :]
+    with pytest.raises(build.SolutionNetFormatError, match="not a solution-network document"):
+        build.deserialize(cut)
+    net.write_bytes(cut)
+    capsys.readouterr()
+    assert run(["verify", "--in", str(net), "--problem", "ou_linear", "--d", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot load network" in captured.err

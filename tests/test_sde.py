@@ -95,6 +95,20 @@ def test_euler_zero_drift_partial_sums():
     assert np.array_equal(state.grid_values[:, 1:], np.cumsum(grid.increments, axis=1))
 
 
+def test_walk_norms_are_the_norms_of_the_partial_sums():
+    inc = sde.sample_brownian(4, 5, 3, 2, 1.0).increments
+    norms = sde.walk_norms(inc)
+    assert norms.shape == (3, 6)
+    for m in range(3):
+        assert np.array_equal(norms[m], sde.walk_norms(inc[m]))
+        total = np.zeros(2)
+        for n in range(6):
+            assert norms[m, n] == pytest.approx(math.hypot(*total), rel=1e-15, abs=0.0)
+            if n < 5:
+                total = total + inc[m, n]
+    assert sde.walk_norms(np.zeros((0, 1))).tolist() == [0.0]
+
+
 def test_euler_single_explicit_step():
     grid = sde.BrownianGrid(
         seed=0, N=1, M=1, d=1, T=1.0, increments=np.zeros((1, 1, 1)), diffusion=np.eye(1)

@@ -8,19 +8,20 @@ import sys
 import numpy as np
 import pytest
 
-from kolmonet import bounds, cli, problems, sde, studies
+from kolmonet import cli, problems, sde, studies
 
 
-def test_bounds_domination_suite(tmp_path):
-    rows, ok = studies.bounds_study(seed=505)
-    assert ok, [r for r in rows if r[3] < r[4]]
+def test_bounds_domination_suite(tmp_path, capsys):
     out = tmp_path / "report.csv"
-    bounds.write_bounds_report(out, rows)
+    code = cli.main(["study", "bounds", "--seed", "505", "--out", str(out)])
+    *rows, status = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert code == 0 and status == ["status pass"], [r for r in rows if float(r[3]) < float(r[4])]
     lines = out.read_text().splitlines()
     assert lines[0] == "bound_name,formula,inputs,value,empirical,slack"
     assert len(lines) == len(rows) + 1
-    # slack column is value - empirical, nonnegative throughout
+    # slack column is value - empirical, nonnegative throughout, in the file and on stdout
     assert all(float(line.rsplit(",", 1)[1]) >= 0.0 for line in lines[1:])
+    assert all(float(r[5]) == float(r[3]) - float(r[4]) >= 0.0 for r in rows)
 
 
 def test_mc_euler_functional_errors_independent_of_chunk(monkeypatch):
