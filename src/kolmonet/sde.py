@@ -1,7 +1,8 @@
 """Additive-noise SDE simulation and Monte Carlo oracles.
 
-Implements the uniform-grid Euler scheme with piecewise-linear time
-interpolation, Brownian increment sampling on counter-based substreams,
+Implements the uniform-grid Euler scheme as one recursion (``euler_states``
+yields each step's state; ``euler_grid`` keeps them all) with piecewise-linear
+time interpolation, Brownian increment sampling on counter-based substreams,
 the one Monte Carlo evaluator of the interpolated scheme (``mc_values``)
 and the Feynman-Kac estimator built on it, and sampled L^p distances
 over a uniform space-time box.
@@ -10,8 +11,9 @@ Randomness is reproducible and order independent: path ``m`` of a grid
 draws from a Philox4x64-10 stream keyed by (seed mod 2^64, purpose << 48 | m),
 and step ``n`` consumes the fixed words [n*k, (n+1)*k) of that stream, so
 the same (seed, m, n) always yields the same increment no matter how paths
-are scheduled or chunked.  Normals come from 53-bit uniforms through the
-inverse normal CDF, which keeps the consumption per step constant.
+are scheduled or chunked (``first`` picks the paths of a chunk).  Normals
+come from 53-bit uniforms through the inverse normal CDF, which keeps the
+consumption per step constant.
 
 Counter layout (numpy's ``Philox``): the 256-bit counter starts at 1 and
 word ``w`` of a stream is lane ``w % 4`` of the block at counter
@@ -194,15 +196,16 @@ class BrownianGrid:
         return replace(self, N=self.N // factor, increments=inc)
 
 
-def sample_brownian(seed: int, N: int, M: int, d: int, T: float, B=None) -> BrownianGrid:
-    """Sample Brownian increments for M paths of an N-step grid on [0, T].
+def sample_brownian(seed: int, N: int, M: int, d: int, T: float, B=None, *, first: int = 0) -> BrownianGrid:
+    """Sample Brownian increments for paths [first, first + M) of an N-step grid on [0, T].
 
     ``B`` is the d x k diffusion matrix (identity by default); the stored
     increments are B(W_{tau_{n+1}} - W_{tau_n}) with W a standard k-dim
     Brownian motion, i.e. centered Gaussians with covariance (T/N) B B^*.
+    Row i is path first + i of every draw that contains it, bitwise.
     """
-    if min(N, M, d) < 1 or T <= 0:
-        raise ValueError("need N, M, d >= 1 and T > 0")
+    if min(N, M, d) < 1 or T <= 0 or first < 0:
+        raise ValueError("need N, M, d >= 1, T > 0 and first >= 0")
     if B is None:
         B = np.eye(d)
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
@@ -214,7 +217,7 @@ def sample_brownian(seed: int, N: int, M: int, d: int, T: float, B=None) -> Brow
     rows = max(1, 4 * _CHUNK_BLOCKS // (N * k))  # paths per chunk: small normals temporaries
     for lo in range(0, M, rows):
         hi = min(lo + rows, M)
-        z = _philox_normals(seed, _TAG_INCREMENTS, np.arange(lo, hi), N * k)
+        z = _philox_normals(seed, _TAG_INCREMENTS, np.arange(first + lo, first + hi), N * k)
         increments[lo:hi] = scale * (z.reshape(hi - lo, N, k) @ B.T)
     increments.flags.writeable = False
     return BrownianGrid(seed=seed, N=N, M=M, d=d, T=float(T), increments=increments, diffusion=B)
@@ -250,24 +253,34 @@ class SchemeState:
     noise: BrownianGrid
 
 
-def euler_grid(x, drift, noise: BrownianGrid) -> SchemeState:
-    """Run the Euler recursion Y_{n+1} = Y_n + (T/N) mu(Y_n) + dW_n for all paths.
+def euler_states(x, drift, increments, T: float):
+    """Yield Y_0, ..., Y_N of Y_{n+1} = Y_n + (T/N) mu(Y_n) + dW_n, each of shape (M, d).
 
-    ``x`` is one start value of shape (d,) for all paths, or one per path,
-    shape (M, d).  ``drift`` may be a callable on (batch, d) arrays, a
-    Network, or None for zero drift.
+    The one Euler recursion.  ``increments`` has shape (M, N, d); ``x`` is
+    one start value, shape (d,), or one per path, (M, d); ``drift`` is a
+    callable on (batch, d) arrays, a Network, or None (zero).  Each state is
+    a fresh array that no later step changes, so callers keep what they read.
     """
     x = np.asarray(x, dtype=np.float64)
-    M, N, d = noise.increments.shape
+    M, N, d = increments.shape
     if x.shape not in ((d,), (M, d)):
         raise ValueError("start value must have shape (%d,) or (%d, %d)" % (d, M, d))
+    y = np.array(np.broadcast_to(x, (M, d)))
     mu = _as_fn(drift)
-    h = noise.T / noise.N
-    y = np.empty((M, N + 1, d))
-    y[:, 0] = x
+    h = T / N
+    yield y
     for n in range(N):
-        drift_n = np.asarray(mu(y[:, n]), dtype=np.float64).reshape(M, d)
-        y[:, n + 1] = y[:, n] + h * drift_n + noise.increments[:, n]
+        y = y + h * np.asarray(mu(y), dtype=np.float64).reshape(M, d)
+        y += increments[:, n]
+        yield y
+
+
+def euler_grid(x, drift, noise: BrownianGrid) -> SchemeState:
+    """All states of ``euler_states`` on ``noise``: grid values of shape (M, N+1, d)."""
+    M, N, d = noise.increments.shape
+    y = np.empty((M, N + 1, d))
+    for n, y_n in enumerate(euler_states(x, drift, noise.increments, noise.T)):
+        y[:, n] = y_n
     y.flags.writeable = False
     return SchemeState(grid_values=y, noise=noise)
 

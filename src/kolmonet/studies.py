@@ -10,6 +10,7 @@ Carlo standard errors of the estimator.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 from scipy.stats import linregress
@@ -139,9 +140,8 @@ def _moment_row(name: str, d: int, q: float, paths: int, N: int, seed: int):
     B = sde.sqrtm_psd(2.0 * pb.A)
     noise = sde.sample_brownian(seed + d, N, paths, d, pb.T, B)
     x0 = np.full(d, 0.5)
-    state = sde.euler_grid(x0, pb.drift_net, noise)
-    norms = np.linalg.norm(state.grid_values, axis=2)  # (paths, N+1)
-    del state  # the grid values are the row's largest array
+    states = sde.euler_states(x0, pb.drift_net, noise.increments, pb.T)
+    norms = np.stack([np.linalg.norm(y, axis=1) for y in states], axis=1)  # (paths, N+1)
     powq = norms**q
     means = powq.mean(axis=0)
     n_star = int(np.argmax(means))
@@ -183,6 +183,9 @@ def weak_error_study(
     additive noise makes the oracle bias negligible).  ``drift_shift``
     perturbs the scheme drift to -x + drift_shift, exercising the eps1
     term of the bound.  Rows: (N, paths, |estimate|, std_error, bound).
+    The signed estimate must lie within 4 SE of its exact mean too.  Paths
+    run in chunks of at most ``sde._MC_CHUNK_ELEMENTS`` fine increments, and
+    only the terminal states are kept; chunking cannot change a bit.
     """
     tp = problems.ou_linear_problem(1)
     pb = tp.problem
@@ -195,10 +198,14 @@ def weak_error_study(
     ok = True
     for j, N in enumerate(Ns):
         nf = refine * N
-        fine = sde.sample_brownian(seed + j, nf, paths, d, pb.T, B)
-        xs = sde.euler_grid(x0, lambda y: -y, fine)
-        ys = sde.euler_grid(x0, lambda y: -y + drift_shift, fine.coarsen(refine))
-        diff = xs.grid_values[:, -1].sum(axis=1) - ys.grid_values[:, -1].sum(axis=1)
+        step = max(1, sde._MC_CHUNK_ELEMENTS // (nf * d))
+        diff = np.empty(paths)
+        for lo in range(0, paths, step):
+            fine = sde.sample_brownian(seed + j, nf, min(step, paths - lo), d, pb.T, B, first=lo)
+            coarse = fine.coarsen(refine).increments
+            x_T = deque(sde.euler_states(x0, lambda y: -y, fine.increments, pb.T), maxlen=1)[0]
+            y_T = deque(sde.euler_states(x0, lambda y: -y + drift_shift, coarse, pb.T), maxlen=1)[0]
+            diff[lo : lo + step] = x_T.sum(axis=1) - y_T.sum(axis=1)
         est = float(diff.mean())
         se = float(diff.std(ddof=1) / math.sqrt(paths))
         params = bounds.RegularityParams(
@@ -207,9 +214,12 @@ def weak_error_study(
             ell=0.0, L0=1.0, L1=1.0, eps0=0.0, eps1=abs(drift_shift), eps2=0.0,
         )
         bound = bounds.weak_error_bound(params, float(np.linalg.norm(x0)), 0.0, pb.T / N, trace)
+        # E[Y_N] = x0 (1 - h)^N + s (1 - (1 - h)^N) for the step h = T/N and drift -y + s
+        decay = (1.0 - pb.T / N) ** N
+        exact = float(x0.sum()) * ((1.0 - pb.T / nf) ** nf - decay) - drift_shift * (1.0 - decay)
         rows.append((N, paths, abs(est), se, bound))
         estimates.append((N, abs(est), se))
-        ok = ok and abs(est) <= bound + 3.0 * se
+        ok = ok and abs(est) <= bound + 3.0 * se and abs(est - exact) <= 4.0 * se
     logs = [(math.log(n), math.log(max(e, 1e-300))) for n, e, _ in estimates]
     slope = linregress([a for a, _ in logs], [b for _, b in logs]).slope
     return rows, slope, ok

@@ -67,6 +67,26 @@ def test_sample_brownian_matches_per_path_streams(seed, N, M, B):
     assert np.array_equal(grid.increments, _per_path_increments(seed, N, M, 0.7, B))
 
 
+@pytest.mark.parametrize(
+    "N, B",
+    [
+        (5, np.array([[1.0, 0.5], [0.0, 2.0]])),  # N*k = 10: the vectorized sampler
+        (300, np.arange(6.0).reshape(2, 3) / 4),  # N*k = 900: the per-path generator
+    ],
+)
+@pytest.mark.parametrize("first, M", [(0, 4), (1, 1), (3, 9), (11, 2)])
+def test_sample_brownian_first_draws_rows_of_the_full_draw(monkeypatch, N, B, first, M):
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 4)  # several sampler chunks even for a few paths
+    full = sde.sample_brownian(8, N, 13, B.shape[0], 0.6, B).increments
+    part = sde.sample_brownian(8, N, M, B.shape[0], 0.6, B, first=first).increments
+    assert np.array_equal(part, full[first : first + M])
+
+
+def test_sample_brownian_rejects_a_negative_first_path():
+    with pytest.raises(ValueError):
+        sde.sample_brownian(8, 4, 2, 1, 1.0, first=-1)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 511, 512, 513])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_philox_normals_rows_match_streams(seed, n):
@@ -93,6 +113,34 @@ def test_euler_zero_drift_partial_sums():
     grid = sde.sample_brownian(3, 6, 20, 2, 2.0)
     state = sde.euler_grid(np.zeros(2), None, grid)
     assert np.array_equal(state.grid_values[:, 1:], np.cumsum(grid.increments, axis=1))
+
+
+def _stored_euler_grid(x, drift, increments, T):
+    # independent reference: every step written into one grid, its drift read off a strided column
+    mu = sde._as_fn(drift)
+    M, N, d = increments.shape
+    y = np.empty((M, N + 1, d))
+    y[:, 0] = x
+    for n in range(N):
+        y[:, n + 1] = y[:, n] + (T / N) * np.asarray(mu(y[:, n])).reshape(M, d) + increments[:, n]
+    return y
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("network", [False, True])
+def test_euler_states_equal_euler_grid_values(d, network):
+    pb = problems.ou_linear_problem(d).problem
+    drift = pb.drift_net if network else (lambda y: -y + 0.25 * y**2)
+    noise = sde.sample_brownian(12, 9, 40, d, pb.T, sde.sqrtm_psd(2.0 * pb.A))
+    x = np.linspace(-1.0, 1.0, 40 * d).reshape(40, d)
+    grid = sde.euler_grid(x, drift, noise).grid_values
+    assert np.array_equal(grid, _stored_euler_grid(x, drift, noise.increments, pb.T))
+    states = list(sde.euler_states(x, drift, noise.increments, pb.T))
+    assert len(states) == 10 and all(y.shape == (40, d) for y in states)
+    # every state is its own array: keeping some of them equals reading them off the grid
+    assert np.array_equal(np.stack(states, axis=1), grid)
+    *_, last = sde.euler_states(x[0], drift, noise.increments, pb.T)
+    assert np.array_equal(last, sde.euler_grid(x[0], drift, noise).grid_values[:, -1])
 
 
 def test_walk_norms_are_the_norms_of_the_partial_sums():

@@ -34,6 +34,42 @@ def test_mc_euler_functional_errors_independent_of_chunk(monkeypatch):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("elements", [1, 4 * 512, 1 << 22])
+def test_weak_error_study_independent_of_chunk(monkeypatch, elements):
+    # one path per chunk; 16 and 4 paths per chunk, neither dividing 30; one chunk.
+    # The 512-step grid draws through the per-path generator, the 128-step one vectorized.
+    want = studies.weak_error_study(Ns=(2, 8), paths=30, refine=64, seed=9)
+    monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", elements)
+    assert studies.weak_error_study(Ns=(2, 8), paths=30, refine=64, seed=9) == want
+
+
+def _coarse_mean_shift(coarsen):
+    def wrong(grid, factor):
+        coarse = coarsen(grid, factor)
+        return dataclasses.replace(coarse, increments=coarse.increments + 1e-3)
+
+    return wrong
+
+
+def _step_of_one_more_node(euler_states):
+    return lambda x, drift, inc, T: euler_states(x, drift, inc, T * inc.shape[1] / (inc.shape[1] + 1))
+
+
+@pytest.mark.parametrize(
+    "owner, name, wrong",
+    [(sde.BrownianGrid, "coarsen", _coarse_mean_shift), (sde, "euler_states", _step_of_one_more_node)],
+)
+def test_weak_exact_mean_gate_fails_a_wrong_scheme(monkeypatch, owner, name, wrong):
+    # coarse increments of mean 1e-3, or an Euler step of T/(N+1), stay far under the
+    # paper's bound; the signed estimate against its exact mean must catch them
+    for shift in (0.0, 0.01):
+        assert studies.weak_error_study(paths=1000, seed=0, drift_shift=shift)[2]
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+    for shift in (0.0, 0.01):
+        rows, _, ok = studies.weak_error_study(paths=1000, seed=0, drift_shift=shift)
+        assert all(est <= bound for _, _, est, _, bound in rows) and not ok
+
+
 def test_study_euler_passes_a_seed_beyond_three_standard_errors(capsys):
     # correct code: the midpoint RMS lies 3.15 SE from its target at this seed
     assert cli.main(["study", "euler", "--paths", "100000", "--seed", "1114088975"]) == 0
