@@ -284,8 +284,13 @@ def path_growth_factor(x_norm, C: float, c: float, T: float, max_noise_norm, r: 
 
     The power is numpy's on scalars too, so a scalar call gives the bits
     of the array call (Python's float power rounds some values apart).
+    An array result is computed in place, one array of the broadcast shape.
     """
-    return 1.0 + np.asarray(x_norm + C * T + max_noise_norm) ** r * np.exp(r * c * T)
+    v = np.asarray(x_norm + C * T + max_noise_norm, dtype=np.float64)  # a fresh array
+    v **= r
+    v *= np.exp(r * c * T)
+    v += 1.0
+    return v if v.ndim else v[()]
 
 
 def mc_sum_error_bound(eps: float, d: int, alpha: float, lip: float, M: int, h2, h3):

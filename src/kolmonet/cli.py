@@ -147,6 +147,10 @@ def cmd_verify(args) -> int:
 
 def cmd_study(args) -> int:
     name = args.suite
+    if name in ("euler", "weak") and args.paths < 2:
+        return _fail("--paths must be at least 2, got %d" % args.paths)
+    if name == "calculus" and args.instances < 1:
+        return _fail("--instances must be at least 1, got %d" % args.instances)
     if name == "calculus":
         rows, ok = studies.calculus_study(instances=args.instances, seed=args.seed)
         header = ("check", "instances", "failures")

@@ -18,10 +18,20 @@ consumption per step constant.
 Counter layout (numpy's ``Philox``): the 256-bit counter starts at 1 and
 word ``w`` of a stream is lane ``w % 4`` of the block at counter
 ``w // 4 + 1``; the uniform is ``((word >> 11) + 0.5) 2^-53``, which is
-``Generator.integers(0, 2**53)`` exactly (no rejection).  Short streams
-run the 10-round bijection for all paths at once in uint64 numpy code;
-streams of at least 512 words use numpy's C generator per path.  Both
-give the same bits, and the tests compare them.
+``Generator.integers(0, 2**53)`` exactly (Lemire's method never rejects
+at a range of 2^53).  Short streams run the 10-round bijection for all
+paths at once in uint64 numpy code; streams of at least 512 words read
+the raw words of one numpy C ``Philox``, re-keyed per path.  Both give
+the same bits, and the tests compare them with the ``Generator`` path.
+Path indices stay below 2^48, so they never reach the purpose tag.
+
+Memory layout: a path of at least 512 increment values is one row of a
+buffer whose row stride is one 64-byte cache line longer than the row.
+Contiguous power-of-two rows of 4 KiB or more would put the column that
+the Euler recursion reads each step (``increments[:, n]``) into the same
+few cache sets for every path; the padded stride is an odd number of
+lines.  Shorter rows stay contiguous.  Shapes, values and ``tobytes()``
+are those of the contiguous array.
 """
 
 from __future__ import annotations
@@ -50,15 +60,23 @@ _MASK64 = 2**64 - 1
 
 # Philox blocks per vectorized chunk: keeps the uint64 temporaries in cache.
 _CHUNK_BLOCKS = 1 << 14
-# From this many words per stream on, numpy's per-stream C generator is faster.
+# From this many words per stream on, numpy's per-stream C Philox is faster.
 _ROW_STREAM_WORDS = 512
+# Path indices occupy the low 48 bits of a stream's key; the purpose tag sits above.
+_PATH_LIMIT = 1 << 48
+# From this many values per path on, each row is followed by one 64-byte line (8 floats).
+_PADDED_ROW_VALUES = 512
+_ROW_PAD = 8
 # Grid values (points x paths x (steps + 1) x d) that ``mc_values`` holds per chunk.
 _MC_CHUNK_ELEMENTS = 1 << 22
 
 
+def _key(seed: int, tag: int, index: int) -> np.ndarray:
+    return np.array([np.uint64(seed & _MASK64), np.uint64((tag << 48) | index)])
+
+
 def _stream(seed: int, tag: int, index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & _MASK64), np.uint64((tag << 48) | index)])
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, tag, index)))
 
 
 def _u53_normals(bits) -> np.ndarray:
@@ -67,6 +85,7 @@ def _u53_normals(bits) -> np.ndarray:
 
 
 def _normals(gen: np.random.Generator, shape) -> np.ndarray:
+    """Normals through ``Generator.integers``: the tests' oracle, whose bits the sampler reproduces."""
     return _u53_normals(gen.integers(0, 2**53, size=shape))
 
 
@@ -103,10 +122,18 @@ def _philox_normals(seed: int, tag: int, index, n: int) -> np.ndarray:
     Row i equals ``_normals(_stream(seed, tag, index[i]), n)`` bitwise.
     """
     index = np.asarray(index, dtype=np.uint64).reshape(-1)
+    if len(index) and index.max() >= _PATH_LIMIT:
+        raise ValueError("path index %d reaches 2^48" % index.max())
     out = np.empty((len(index), n))
     if n >= _ROW_STREAM_WORDS:
+        # one C Philox, re-keyed per path through its fresh state (counter 0, empty
+        # buffer): constructing one per path would gather OS entropy each time
+        philox = np.random.Philox(key=_key(seed, tag, 0))
+        state = philox.state
         for i, m in enumerate(index.tolist()):
-            out[i] = _normals(_stream(seed, tag, m), n)
+            state["state"]["key"] = _key(seed, tag, m)
+            philox.state = state
+            out[i] = _u53_normals(philox.random_raw(n) >> 11)
         return out
     blocks = -(-n // 4)
     rows = max(1, _CHUNK_BLOCKS // blocks)
@@ -202,7 +229,9 @@ def sample_brownian(seed: int, N: int, M: int, d: int, T: float, B=None, *, firs
     ``B`` is the d x k diffusion matrix (identity by default); the stored
     increments are B(W_{tau_{n+1}} - W_{tau_n}) with W a standard k-dim
     Brownian motion, i.e. centered Gaussians with covariance (T/N) B B^*.
-    Row i is path first + i of every draw that contains it, bitwise.
+    Row i is path first + i of every draw that contains it, bitwise; path
+    indices must stay below 2^48 (ValueError).  Paths of at least 512 values are rows of a buffer padded by one cache
+    line (see the module docstring); the array is read-only either way.
     """
     if min(N, M, d) < 1 or T <= 0 or first < 0:
         raise ValueError("need N, M, d >= 1, T > 0 and first >= 0")
@@ -213,7 +242,10 @@ def sample_brownian(seed: int, N: int, M: int, d: int, T: float, B=None, *, firs
         raise ValueError("diffusion matrix must have %d rows" % d)
     k = B.shape[1]
     scale = np.sqrt(T / N)
-    increments = np.empty((M, N, d))
+    if N * d >= _PADDED_ROW_VALUES:
+        increments = np.empty((M, N * d + _ROW_PAD))[:, : N * d].reshape(M, N, d)
+    else:
+        increments = np.empty((M, N, d))
     rows = max(1, 4 * _CHUNK_BLOCKS // (N * k))  # paths per chunk: small normals temporaries
     for lo in range(0, M, rows):
         hi = min(lo + rows, M)

@@ -163,6 +163,9 @@ def test_growth_evaluators_on_arrays_equal_their_scalar_and_list_calls():
     g = bounds.drift_growth_envelope(xn, 0.5, 1.0, taus, walk)
     h2, h3 = (bounds.path_growth_factor(xn, 0.5, 1.0, 1.0, walk, r) for r in (2.0, 3.0))
     assert g.shape == h2.shape == h3.shape == (7, 5)
+    # computed in place, with the bits of the expression written out
+    for r, h in ((2.0, h2), (3.0, h3)):
+        assert np.array_equal(h, 1.0 + (xn + 0.5 * 1.0 + walk) ** r * np.exp(r * 1.0 * 1.0))
     caps = bounds.mc_sum_error_bound(0.01, 2, 1.5, 1.0, 5, h2, h3)
     assert caps.shape == (7,)
     for i in range(7):

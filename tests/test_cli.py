@@ -110,6 +110,31 @@ def test_study_calculus_pass(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "check,instances,failures"
 
 
+@pytest.mark.parametrize(
+    "suite, flag, value, least",
+    [
+        ("weak", "--paths", "1", 2),
+        ("weak", "--paths", "-5", 2),
+        ("euler", "--paths", "1", 2),
+        ("euler", "--paths", "0", 2),
+        ("calculus", "--instances", "0", 1),
+        ("calculus", "--instances", "-2", 1),
+    ],
+)
+def test_study_degenerate_counts_exit_two_before_any_work(tmp_path, capsys, monkeypatch, suite, flag, value, least):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    for name in ("weak_error_study", "strong_interp_study", "moment_study", "calculus_study"):
+        monkeypatch.setattr(cli.studies, name, no_work)
+    out = tmp_path / "rows.csv"
+    assert run(["study", suite, flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s must be at least %d, got %s\n" % (flag, least, value)
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_study_csv_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(["study", "calculus", "--instances", "40", "--out", str(a)]) == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from kolmonet import bounds, nets, problems, sde
+from kolmonet import bounds, build, nets, problems, sde
 
 
 def test_increments_centered():
@@ -85,6 +85,69 @@ def test_sample_brownian_first_draws_rows_of_the_full_draw(monkeypatch, N, B, fi
 def test_sample_brownian_rejects_a_negative_first_path():
     with pytest.raises(ValueError):
         sde.sample_brownian(8, 4, 2, 1, 1.0, first=-1)
+
+
+def test_path_indices_stop_below_the_purpose_tag():
+    # the key is tag << 48 | m, so path 2^48 would draw path 0 of the next tag
+    last = sde.sample_brownian(0, 4, 1, 1, 1.0, first=2**48 - 1).increments
+    assert np.array_equal(last, 0.5 * sde._normals(sde._stream(0, 1, 2**48 - 1), (1, 4, 1)))
+    for first, M in ((2**48 - 1, 2), (2**48, 1)):
+        with pytest.raises(ValueError, match="2\\^48"):
+            sde.sample_brownian(0, 4, M, 1, 1.0, first=first)
+    for n in (4, 512):
+        with pytest.raises(ValueError, match="2\\^48"):
+            sde._philox_normals(0, 1, [3, 2**48], n)
+
+
+PADDED = [(512, 1), (171, 3), (4096, 1), (1366, 3)]  # N*d = 512, 513, 4096, 4098
+
+
+@pytest.mark.parametrize("N, d", PADDED + [(511, 1), (170, 3), (16, 2)])
+def test_long_paths_have_a_padded_row_stride(N, d):
+    inc = sde.sample_brownian(6, N, 5, d, 1.0).increments
+    assert inc.shape == (5, N, d) and not inc.flags.writeable
+    if N * d >= 512:
+        assert inc.strides == (8 * (N * d + 8), 8 * d, 8)
+        assert inc.strides[0] % 4096 != 0
+    else:
+        assert inc.flags.c_contiguous
+    assert inc.tobytes() == np.ascontiguousarray(inc).tobytes()
+
+
+@pytest.mark.parametrize("N, d", PADDED)
+def test_padded_increments_give_the_bits_of_contiguous_ones(monkeypatch, N, d):
+    pb = problems.ou_linear_problem(d).problem
+    noise = sde.sample_brownian(9, N, 6, d, pb.T, sde.sqrtm_psd(2.0 * pb.A))
+    padded = noise.increments
+    dense = np.ascontiguousarray(padded)
+    assert not padded.flags.c_contiguous and dense.flags.c_contiguous
+    dense_noise = sde.BrownianGrid(
+        seed=noise.seed, N=N, M=6, d=d, T=noise.T, increments=dense, diffusion=noise.diffusion
+    )
+    for factor in [f for f in (2, 3, 9, 64, N // 2) if N % f == 0]:
+        assert np.array_equal(noise.coarsen(factor).increments, dense_noise.coarsen(factor).increments)
+    assert np.array_equal(sde.walk_norms(padded), sde.walk_norms(dense))
+    x = np.linspace(-1.0, 1.0, 6 * d).reshape(6, d)
+    for a, b in zip(sde.euler_states(x, pb.drift_net, padded, pb.T), sde.euler_states(x, pb.drift_net, dense, pb.T)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(
+        sde.euler_grid(x, pb.drift_net, noise).grid_values, sde.euler_grid(x, pb.drift_net, dense_noise).grid_values
+    )
+    ts = np.array([0.0, 0.3 * pb.T, pb.T])
+    xs = np.linspace(-0.5, 0.5, 3 * d).reshape(3, d)
+    want = sde.mc_values(pb.init_net, pb.drift_net, dense, pb.T, ts, xs)
+    assert np.array_equal(sde.mc_values(pb.init_net, pb.drift_net, padded, pb.T, ts, xs), want)
+    monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", 1)  # one point per chunk: the Euler loop reads the padded rows
+    assert np.array_equal(sde.mc_values(pb.init_net, pb.drift_net, padded, pb.T, ts, xs), want)
+    # a network of all N steps is too large to build here; the first 8 steps keep the padded row stride
+    short = padded[:2, :8]
+    assert short.strides[0] == padded.strides[0]
+    grid = np.arange(9) * (pb.T / 8)
+    want = build.build_euler_net(pb.drift_net, np.ascontiguousarray(short), grid, 0.25)
+    got = build.build_euler_net(pb.drift_net, short, grid, 0.25)
+    assert len(got.layers) == len(want.layers)
+    for a, b in zip(got.layers, want.layers):
+        assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 511, 512, 513])
