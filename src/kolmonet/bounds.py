@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-
-LOG10_OVERFLOW = 300.0
 
 
 @dataclass(frozen=True)
@@ -51,6 +49,9 @@ class RegularityParams:
     eps2: float = 0.0
 
     def __post_init__(self):
+        for field in fields(self):  # NaN would pass every comparison below
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError("%s must be finite, got %r" % (field.name, getattr(self, field.name)))
         if self.T <= 0:
             raise ValueError("horizon T must be positive")
         if self.kappa <= 0:
@@ -106,28 +107,17 @@ def interp_error_bound(p: float, h: float, trace_bbstar: float) -> float:
 
 
 def weak_error_bound(
-    params: RegularityParams,
-    xi_norm: float,
-    f1_at_0_norm: float,
-    h: float,
-    trace_bstar_b: float,
-    q: float | None = None,
+    params: RegularityParams, xi_norm: float, f1_at_0_norm: float, h: float, trace_bstar_b: float
 ) -> float:
     """Weak error of the perturbed linearly-interpolated Euler scheme.
 
     Bounds |E f0(X_t) - E g0(Y_t)| uniformly over t in [0, T] for a scheme
     with perturbed initial point (eps2), initial-value function (eps0),
-    and drift (eps1), run at step size h.  ``q`` is the conjugate of
-    params.p (must satisfy 1/p + 1/q = 1 with q in (1, 2]); by default it
-    is derived from p.
+    and drift (eps1), run at step size h.  q = p / (p - 1) is the
+    conjugate of params.p.
     """
     p = params.p
-    if q is None:
-        q = p / (p - 1.0)
-    if abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
-        raise ValueError("q must be conjugate to p (1/p + 1/q = 1)")
-    if not (1.0 < q <= 2.0):
-        raise ValueError("conjugate exponent q must lie in (1, 2]")
+    q = p / (p - 1.0)
     if not (0.0 <= h <= params.T):
         raise ValueError("step h must lie in [0, T]")
     s0, s1, s2 = params.varsigma0, params.varsigma1, params.varsigma2
@@ -330,35 +320,57 @@ def solution_error_bound(params: RegularityParams, d: int, N: int, M: int, delta
     return _to_float("solution_error_bound", value)
 
 
+def _float_bound(name: str, value) -> float:
+    """``value(float)``: a size bound, a product of factors >= 1, evaluated in floats.
+
+    Where floats overflow (a power raises, a product gives inf), the bound
+    is evaluated again in mpmath and raises OverflowError with its log10.
+    """
+    try:
+        out = value(float)
+        if not math.isinf(out):
+            return out
+    except OverflowError:
+        pass
+    import mpmath
+
+    with mpmath.workdps(_DPS):
+        return _to_float(name, value(mpmath.mpf))
+
+
 def solution_param_bound(params: RegularityParams, d: int, N: int, M: int, delta: float) -> float:
     """Parameter bound 2^57 max(k,1)^8 max(T^{-k/2},1)^8 M^2 N^{6+4k} (log2(1/delta)+1)^2 d^{16+8k}."""
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     k, T = params.kappa, params.T
-    c2 = 2.0**57 * max(k, 1.0) ** 8 * max(T ** (-k / 2.0), 1.0) ** 8
-    return c2 * M**2 * float(N) ** (6.0 + 4.0 * k) * (math.log2(1.0 / delta) + 1.0) ** 2 * float(d) ** (16.0 + 8.0 * k)
+    return _float_bound("solution_param_bound", lambda num: (
+        2.0**57 * max(k, 1.0) ** 8 * max(num(T) ** (-k / 2.0), 1.0) ** 8 * num(M**2) * num(N) ** (6.0 + 4.0 * k)
+        * (math.log2(1.0 / delta) + 1.0) ** 2 * num(d) ** (16.0 + 8.0 * k)
+    ))
+
+
+def _path_bracket(num, depth_term: float, frak_d: float, drift_depth: int, drift_params: int):
+    """[depth_term + D + (24 + 6L + (4 + P)^2)^2]^2, shared by the two path-size bounds."""
+    return (depth_term + frak_d + (24.0 + 6.0 * drift_depth + (4.0 + num(drift_params)) ** 2) ** 2) ** 2
 
 
 def euler_net_param_bound(N: int, d: int, frak_d: float, drift_depth: int, drift_params: int) -> float:
     """(9/2) N^6 d^16 [2(L-1) + D + (24 + 6L + (4 + P)^2)^2]^2 for one emulated path."""
-    inner = (
-        2.0 * (drift_depth - 1)
-        + frak_d
-        + (24.0 + 6.0 * drift_depth + (4.0 + drift_params) ** 2) ** 2
-    )
-    return 4.5 * float(N) ** 6 * float(d) ** 16 * inner**2
+    return _float_bound("euler_net_param_bound", lambda num: (
+        4.5 * num(N) ** 6 * num(d) ** 16
+        * _path_bracket(num, 2.0 * (drift_depth - 1), frak_d, drift_depth, drift_params)
+    ))
 
 
 def mc_sum_param_bound(
     M: int, N: int, d: int, frak_d: float, drift_depth: int, drift_params: int, init_params: int
 ) -> float:
     """2 M^2 P(init) + 9 M^2 N^6 d^16 [2L + D + (24 + 6L + (4 + P)^2)^2]^2."""
-    inner = (
-        2.0 * drift_depth
-        + frak_d
-        + (24.0 + 6.0 * drift_depth + (4.0 + drift_params) ** 2) ** 2
-    )
-    return 2.0 * M**2 * init_params + 9.0 * M**2 * float(N) ** 6 * float(d) ** 16 * inner**2
+    return _float_bound("mc_sum_param_bound", lambda num: (
+        2.0 * num(M**2) * init_params
+        + 9.0 * num(M**2) * num(N) ** 6 * num(d) ** 16
+        * _path_bracket(num, 2.0 * drift_depth, frak_d, drift_depth, drift_params)
+    ))
 
 
 def cor_kappa_remap(kappa: float) -> float:
@@ -454,25 +466,16 @@ class BudgetPlan:
     def representable(self) -> bool:
         return max(self.log10_N, self.log10_M) < 18.0
 
-    def budget(self, force: bool = False) -> Budget:
-        """Materialize integer N, M and the float delta.
+    def budget(self) -> Budget:
+        """Materialize integer N, M and the float delta; refuse budgets beyond any practical build size.
 
-        Without ``force`` this refuses budgets beyond any practical build
-        size; with it, any plan within float range is converted (N and M
-        are exact arbitrary-precision integers).  A delta below 10^-300
-        raises OverflowError rather than being rounded.
+        log10 N < 18 keeps log10 delta above -150 (c1 >= 2^(6 kappa + 10) bounds kappa below 3.05).
         """
-        if not self.representable and not force:
+        if not self.representable:
             raise OverflowError(
                 "planned budget is astronomically large "
-                "(log10 N = %.3g, log10 M = %.3g); pass an explicit budget override"
+                "(log10 N = %.3g, log10 M = %.3g); build with an explicit budget"
                 % (self.log10_N, self.log10_M)
-            )
-        if max(self.log10_N, self.log10_M) >= LOG10_OVERFLOW:
-            raise OverflowError("planned budget exceeds float range even for reporting")
-        if self.log10_delta < -LOG10_OVERFLOW:
-            raise OverflowError(
-                "planned delta is below float range: log10 delta = %.17g" % self.log10_delta
             )
         n = max(1, math.ceil(10.0**self.log10_N))
         m = max(1, math.ceil(10.0**self.log10_M))

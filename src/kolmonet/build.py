@@ -51,13 +51,7 @@ from json.scanner import py_make_scanner
 import numpy as np
 
 from . import nets
-from .bounds import (
-    Budget,
-    RegularityParams,
-    plan_budget,
-    solution_error_bound,
-    solution_param_bound,
-)
+from .bounds import Budget, RegularityParams, solution_error_bound, solution_param_bound
 from .nets import Layer, Network
 from .sde import BrownianGrid, sample_brownian, sqrtm_psd
 
@@ -313,19 +307,13 @@ def build_mc_average_net(problem: PdeProblem, budget: Budget, noise: BrownianGri
     return SolutionNet(net=net, provenance=provenance)
 
 
-def solve(problem: PdeProblem, eps: float, seed: int, budget_override: Budget | None = None) -> SolutionNet:
-    """Plan a budget for accuracy ``eps`` (or take the override), sample one
-    Brownian realization, and build the solution network.
+def solve(problem: PdeProblem, budget: Budget, seed: int) -> SolutionNet:
+    """Sample one Brownian realization and build the solution network at ``budget``.
 
-    The planned budgets are astronomically large for realistic inputs;
-    without an override this raises with advice as soon as the plan is
-    not buildable.  With an override, only the computable bounds for that
-    budget are guaranteed.
+    Only the computable bounds for that budget are guaranteed: the budgets
+    that ``bounds.plan_budget`` gives for an accuracy are astronomically
+    large for realistic inputs.
     """
-    if budget_override is None:
-        budget = plan_budget(problem.params, problem.d, eps).budget()
-    else:
-        budget = budget_override
     B = sqrtm_psd(2.0 * problem.A)
     noise = sample_brownian(seed, budget.N, budget.M, problem.d, problem.T, B)
     return build_mc_average_net(problem, budget, noise)

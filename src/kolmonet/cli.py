@@ -83,7 +83,7 @@ def cmd_build(args) -> int:
     except KeyError as exc:
         return _fail(str(exc))
     budget = bounds.Budget(N=args.N, M=args.M, delta=args.delta)
-    solution = build.solve(tp.problem, eps=1.0, seed=args.seed, budget_override=budget)
+    solution = build.solve(tp.problem, budget, args.seed)
     try:
         build.save_solution(solution, args.out)
     except (OSError, ValueError) as exc:
@@ -121,6 +121,11 @@ def cmd_verify(args) -> int:
     if net.in_dim != pb.d + 1:
         return _fail("network input dimension %d does not match problem d+1=%d" % (net.in_dim, pb.d + 1))
     N, M, delta, seed = prov["N"], prov["M"], prov["delta"], prov["seed"]
+    for name, value in (("N", N), ("M", M), ("seed", seed)):
+        if type(value) is not int:
+            return _fail("provenance %s must be an integer, got %r" % (name, value))
+    if type(delta) not in (int, float) or not 0.0 < delta <= 1.0:
+        return _fail("provenance delta must be a number in (0, 1], got %r" % (delta,))
     B = sde.sqrtm_psd(2.0 * pb.A)
     noise = sde.sample_brownian(seed, N, M, pb.d, pb.T, B)
     p = pb.params.p

@@ -20,6 +20,7 @@ from .build import PdeProblem
 from .sde import UniformSpaceTimeMeasure
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+T = 1.0  # the horizon of every problem; heat and OU are measured on [0, T] x [-1, 1]^d
 
 
 def _phi(z):
@@ -46,7 +47,7 @@ def _zero_drift_net(d):
     return nets.affine_net(np.zeros((d, d)), np.zeros(d))
 
 
-def heat_relu_problem(d: int, T: float = 1.0, alpha: float = -1.0, beta: float = 1.0) -> TestProblem:
+def heat_relu_problem(d: int) -> TestProblem:
     """Heat equation with rectifier initial data: u_t = Lap u, u(0,x) = sum_i max(x_i, 0).
 
     Zero drift, A = I.  The initial condition is an exact two-layer
@@ -86,15 +87,15 @@ def heat_relu_problem(d: int, T: float = 1.0, alpha: float = -1.0, beta: float =
         name="heat_relu",
         problem=problem,
         exact_solution=exact,
-        measure=UniformSpaceTimeMeasure(T, alpha, beta, d),
+        measure=UniformSpaceTimeMeasure(T, -1.0, 1.0, d),
     )
 
 
-def ou_linear_problem(d: int, T: float = 1.0, a: float = 0.5, alpha: float = -1.0, beta: float = 1.0) -> TestProblem:
+def ou_linear_problem(d: int) -> TestProblem:
     """Ornstein-Uhlenbeck drift with a linear functional initial condition.
 
     drift(x) = -x (exact affine network routed through an identity block
-    so it has a hidden layer), f0(x) = sum_i x_i, A = a I.  The linear
+    so it has a hidden layer), f0(x) = sum_i x_i, A = I / 2.  The linear
     functional kills the diffusion contribution: u(t, x) = e^{-t} sum_i x_i.
     """
     drift = nets.compose(nets.identity_net(d), nets.affine_net(-np.eye(d), np.zeros(d)))
@@ -107,7 +108,7 @@ def ou_linear_problem(d: int, T: float = 1.0, a: float = 0.5, alpha: float = -1.
     problem = PdeProblem(
         drift_net=drift,
         init_net=init,
-        A=a * np.eye(d),
+        A=0.5 * np.eye(d),
         T=T,
         params=params,
     )
@@ -121,23 +122,23 @@ def ou_linear_problem(d: int, T: float = 1.0, a: float = 0.5, alpha: float = -1.
         name="ou_linear",
         problem=problem,
         exact_solution=exact,
-        measure=UniformSpaceTimeMeasure(T, alpha, beta, d),
+        measure=UniformSpaceTimeMeasure(T, -1.0, 1.0, d),
     )
 
 
-def quadratic_heat_problem(d: int, R: float = 8.0, T: float = 1.0, eps_coord: float = 2.0**-12) -> TestProblem:
+def quadratic_heat_problem(d: int, R: float = 8.0) -> TestProblem:
     """Heat equation with squared-norm initial data, approximated by product blocks.
 
     ||x||^2 is not exactly rectifier-representable, so f0 is a sum of d
-    accuracy-controlled square networks on [-R, R]; the per-problem
-    initial accuracy d * eps_coord is recorded on the TestProblem.
+    square networks on [-R, R], each accurate to 2^-12; the per-problem
+    initial accuracy d 2^-12 is recorded on the TestProblem.
     u(t, x) = ||x||^2 + 2 d t.  The default range keeps the Gaussian mass
     seen by the Feynman-Kac representation inside [-R, R]^d up to
     negligible tails for the default box and horizon.
     """
     dup = nets.affine_net(np.array([[1.0], [1.0]]))
     squares = [
-        nets.select_inputs(nets.compose(nets.product_net(eps_coord, R), dup), [i], d)
+        nets.select_inputs(nets.compose(nets.product_net(2.0**-12, R), dup), [i], d)
         for i in range(d)
     ]
     init = nets.average_nets(squares, [1.0] * d)
@@ -165,7 +166,7 @@ def quadratic_heat_problem(d: int, R: float = 8.0, T: float = 1.0, eps_coord: fl
         problem=problem,
         exact_solution=exact,
         measure=UniformSpaceTimeMeasure(T, -bound, bound, d),
-        init_accuracy=float(d) * eps_coord,
+        init_accuracy=float(d) * 2.0**-12,
     )
 
 
@@ -180,11 +181,11 @@ def problem_names():
     return sorted(_REGISTRY)
 
 
-def get_problem(name: str, d: int, **kwargs) -> TestProblem:
+def get_problem(name: str, d: int) -> TestProblem:
     if name not in _REGISTRY:
         raise KeyError(
             "unknown problem %r (available: %s)" % (name, ", ".join(problem_names()))
         )
     if d < 1:
         raise ValueError("dimension d must be at least 1, got %d" % d)
-    return _REGISTRY[name](d, **kwargs)
+    return _REGISTRY[name](d)

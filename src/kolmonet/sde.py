@@ -381,9 +381,9 @@ def mc_values(f0, drift, increments, T: float, t, x) -> np.ndarray:
 def feynman_kac(f0, drift, A, t: float, x, paths: int, steps: int, seed: int):
     """Monte Carlo estimate of u(t, x) = E[f0(X^x_t)] for the Kolmogorov PDE.
 
-    X solves dX = mu(X) ds + sqrt(2A) dW.  Returns (estimate, std_error);
-    assertions against the estimate should allow a few std errors.  With
-    A = 0 and zero drift the estimate is f0(x) exactly.
+    X solves dX = mu(X) ds + sqrt(2A) dW for the d x d matrix A.  Returns
+    (estimate, std_error); assertions against the estimate should allow a
+    few std errors.  With A = 0 and zero drift the estimate is f0(x) exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
@@ -392,9 +392,7 @@ def feynman_kac(f0, drift, A, t: float, x, paths: int, steps: int, seed: int):
     if t == 0.0:
         v = float(np.asarray(f0(x[None, :])).ravel()[0])
         return v, 0.0
-    B = sqrtm_psd(2.0 * np.asarray(A, dtype=np.float64)) if np.ndim(A) else sqrtm_psd(
-        2.0 * A * np.eye(d)
-    )
+    B = sqrtm_psd(2.0 * np.asarray(A, dtype=np.float64))
     noise = sample_brownian(seed, steps, paths, d, t, B)
     vals = mc_values(f0, drift, noise.increments, t, [t], x[None, :])[0]
     est = float(np.mean(vals))
@@ -411,7 +409,7 @@ def lp_distance(va, vb, p: float) -> float:
     return float(np.mean(np.abs(va - vb) ** p) ** (1.0 / p))
 
 
-def write_convergence_csv(path, rows, header=("N", "M", "estimate", "std_error", "bound")):
+def write_convergence_csv(path, rows, header):
     """Write a convergence table; rows are iterables matching the header."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")

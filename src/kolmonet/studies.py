@@ -118,8 +118,8 @@ def strong_interp_study(paths: int = 100_000, N: int = 8, seed: int = 101):
     return rows, ok
 
 
-def moment_study(ds=(1, 2, 5), q: float = 2.0, paths: int = 20_000, N: int = 16, seed: int = 202):
-    """Scheme moments against the a-priori bound, and pathwise growth envelopes.
+def moment_study(ds=(1, 2, 5), q: float = 2.0, paths: int = 20_000, seed: int = 202):
+    """Scheme moments on a 16-step grid against the a-priori bound, and pathwise growth envelopes.
 
     Rows: (problem, d, q, empirical, std_error, bound, envelope_violations).
     """
@@ -127,18 +127,18 @@ def moment_study(ds=(1, 2, 5), q: float = 2.0, paths: int = 20_000, N: int = 16,
     ok = True
     for name in ("heat_relu", "ou_linear"):
         for d in ds:
-            row, row_ok = _moment_row(name, d, q, paths, N, seed)
+            row, row_ok = _moment_row(name, d, q, paths, seed)
             ok = ok and row_ok
             rows.append(row)
     return rows, ok
 
 
-def _moment_row(name: str, d: int, q: float, paths: int, N: int, seed: int):
+def _moment_row(name: str, d: int, q: float, paths: int, seed: int):
     # one function per row, so that a row's path arrays are freed before the next row's
     tp = problems.get_problem(name, d)
     pb = tp.problem
     B = sde.sqrtm_psd(2.0 * pb.A)
-    noise = sde.sample_brownian(seed + d, N, paths, d, pb.T, B)
+    noise = sde.sample_brownian(seed + d, 16, paths, d, pb.T, B)
     x0 = np.full(d, 0.5)
     states = sde.euler_states(x0, pb.drift_net, noise.increments, pb.T)
     norms = np.stack([np.linalg.norm(y, axis=1) for y in states], axis=1)  # (paths, N+1)

@@ -222,8 +222,8 @@ def test_criterion_8_end_to_end_heat(report):
 def test_criterion_9_deterministic_serialization(report):
     tp = problems.ou_linear_problem(1)
     budget = bounds.Budget(N=2, M=2, delta=2.0**-4)
-    a = build.serialize(build.solve(tp.problem, 1.0, seed=31415, budget_override=budget))
-    b = build.serialize(build.solve(tp.problem, 1.0, seed=31415, budget_override=budget))
+    a = build.serialize(build.solve(tp.problem, budget, seed=31415))
+    b = build.serialize(build.solve(tp.problem, budget, seed=31415))
     report["ok"] = a == b
     report["detail"] = "bytes=%d identical=%s" % (len(a), a == b)
     assert a == b

@@ -72,14 +72,6 @@ def test_weak_error_monotone_in_sources():
         assert hi > lo
 
 
-def test_weak_error_rejects_nonconjugate_q():
-    with pytest.raises(ValueError):
-        bounds.weak_error_bound(_weak_params(), 1.0, 0.0, 0.1, 1.0, q=3.0)
-    # p > 2 has conjugate q < 2, fine; q = 2 with p = 3 is not conjugate
-    with pytest.raises(ValueError):
-        bounds.weak_error_bound(_weak_params(p=3.0), 1.0, 0.0, 0.1, 1.0, q=2.0)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo Euler constants
 
@@ -249,6 +241,47 @@ def test_error_bounds_beyond_float_range_raise_with_their_log10(kappa, d):
         assert abs(got - float(mpmath.log10(exact))) <= 1e-6
 
 
+_BRACKET = (24.0 + 6.0 * 3 + 14.0**2) ** 2  # (24 + 6L + (4 + P)^2)^2 at drift depth L = 3, P = 10 parameters
+_K8 = bounds.RegularityParams(T=1, kappa=8)
+
+
+@pytest.mark.parametrize(
+    "name, args, log10",
+    [
+        # float products give inf at these two
+        ("solution_param_bound", (_K8, 100, 10**6, 10**6, 1e-9),
+         57 * math.log10(2) + 8 * math.log10(8) + 12 + 6 * 38 + 2 * math.log10(math.log2(1e9) + 1) + 2 * 80),
+        ("mc_sum_param_bound", (10**150, 10**30, 1000, 1.0, 3, 10, 5),
+         math.log10(9) + 300 + 180 + 48 + 2 * math.log10(6 + 1 + _BRACKET)),
+        # float powers raise a bare OverflowError at these three
+        ("solution_param_bound", (_K8, 10, 10**17, 10**17, 1e-300),
+         57 * math.log10(2) + 8 * math.log10(8) + 34 + 17 * 38 + 2 * math.log10(math.log2(1e300) + 1) + 80),
+        ("euler_net_param_bound", (10**60, 1000, 1.0, 3, 10),
+         math.log10(4.5) + 360 + 48 + 2 * math.log10(4 + 1 + _BRACKET)),
+        ("mc_sum_param_bound", (10**6, 10**60, 1000, 1.0, 3, 10, 5),
+         math.log10(9) + 12 + 360 + 48 + 2 * math.log10(6 + 1 + _BRACKET)),
+    ],
+)
+def test_size_bounds_beyond_float_range_raise_with_their_log10(name, args, log10):
+    with pytest.raises(OverflowError, match="^%s exceeds float range: log10 = " % name) as info:
+        getattr(bounds, name)(*args)
+    assert abs(float(str(info.value).rsplit("= ", 1)[1]) - log10) <= 1e-6
+
+
+def test_size_bounds_below_float_range_are_their_float_formulas():
+    # near the top of the float range, each bound is still its float expression, bit for bit
+    assert bounds.euler_net_param_bound(10**40, 10, 1.0, 3, 10) == 4.5 * 1e40**6 * 10.0**16 * (4 + 1 + _BRACKET) ** 2
+    assert bounds.mc_sum_param_bound(10**100, 10**10, 10, 1.0, 3, 10, 5) == (
+        2.0 * 10**200 * 5 + 9.0 * 10**200 * 1e10**6 * 10.0**16 * (6 + 1 + _BRACKET) ** 2
+    )
+    params = bounds.RegularityParams(T=1.0, kappa=2.0)
+    # M^2 is squared as an integer and rounded once; float(M) ** 2 would round M first
+    M = 2**53 + 1
+    assert bounds.solution_param_bound(params, 10, 10**10, M, 0.5) == (
+        2.0**57 * 2.0**8 * M**2 * 1e10**14.0 * 2.0**2 * 10.0**32.0
+    )
+
+
 @pytest.mark.parametrize(
     "kappa, eta, d, N, M, delta",
     [
@@ -276,7 +309,7 @@ def test_error_bounds_at_kappa_6_d_10_stay_finite():
 
 def test_plan_budget_minimums_and_scaling():
     plan = bounds.plan_budget(P1, 1, 1.0)
-    budget = plan.budget(force=True)
+    budget = bounds.plan_budget(bounds.RegularityParams(T=1.0, kappa=0.5), 1, 1.0).budget()
     assert budget.N >= 1 and budget.M >= 1 and 0 < budget.delta <= 1
     half = bounds.plan_budget(P1, 1, 0.5)
     assert half.log10_N - plan.log10_N == pytest.approx(math.log10(4.0), abs=1e-9)
@@ -285,8 +318,8 @@ def test_plan_budget_minimums_and_scaling():
 def test_plan_budget_delta_below_float_range_raises():
     plan = bounds.plan_budget(bounds.RegularityParams(T=1.0, kappa=1.0, eta=10.0), 50_000, 1.0)
     assert plan.log10_delta == pytest.approx(-321.29, abs=0.01)
-    with pytest.raises(OverflowError, match="log10 delta = -321.2"):
-        plan.budget(force=True)
+    with pytest.raises(OverflowError, match="astronomically large"):
+        plan.budget()
 
 
 def test_plan_budget_fixture_d10():

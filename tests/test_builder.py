@@ -285,8 +285,8 @@ def test_param_count_within_bound_small_instance():
 def test_solve_deterministic_and_prefix_stable():
     tp = problems.heat_relu_problem(1)
     budget = bounds.Budget(N=2, M=2, delta=0.5)
-    a = build.solve(tp.problem, 1.0, seed=99, budget_override=budget)
-    b = build.solve(tp.problem, 1.0, seed=99, budget_override=budget)
+    a = build.solve(tp.problem, budget, seed=99)
+    b = build.solve(tp.problem, budget, seed=99)
     assert build.serialize(a) == build.serialize(b)
     # doubling M with the same seed keeps the per-path networks identical
     n2 = sde.sample_brownian(99, 2, 2, 1, 1.0, sde.sqrtm_psd(2 * tp.problem.A))
@@ -297,12 +297,6 @@ def test_solve_deterministic_and_prefix_stable():
         for la, lb in zip(pa.layers, pb.layers):
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
-
-
-def test_solve_without_override_advises():
-    tp = problems.heat_relu_problem(1)
-    with pytest.raises(OverflowError, match="override"):
-        build.solve(tp.problem, 0.5, seed=0)
 
 
 def test_serialize_round_trip_identity_based():
@@ -419,7 +413,7 @@ def _assert_reads_as_oracle(data):
     ],
 )
 def test_reader_matches_json_oracle_on_builds(maker, d, N, M, delta, seed):
-    sol = build.solve(maker(d).problem, 1.0, seed=seed, budget_override=bounds.Budget(N=N, M=M, delta=delta))
+    sol = build.solve(maker(d).problem, bounds.Budget(N=N, M=M, delta=delta), seed=seed)
     back = _assert_reads_as_oracle(build.serialize(sol))
     assert back.provenance == sol.provenance
     # equal weight matrices load as one shared array, as they were built
@@ -429,9 +423,7 @@ def test_reader_matches_json_oracle_on_builds(maker, d, N, M, delta, seed):
 
 
 def test_reader_parses_each_distinct_array_text_once(monkeypatch):
-    sol = build.solve(
-        problems.ou_linear_problem(1).problem, 1.0, seed=2, budget_override=bounds.Budget(N=2, M=4, delta=2.0**-4)
-    )
+    sol = build.solve(problems.ou_linear_problem(1).problem, bounds.Budget(N=2, M=4, delta=2.0**-4), seed=2)
     data = build.serialize(sol)
     arrays = re.findall(r"\[[^\[\]]*\]", data.decode())
     assert len(set(arrays)) < len(arrays)
@@ -528,7 +520,7 @@ def test_serialized_bytes_pinned():
     # criterion 9's OU build; the digest pins the v1 writer's bytes across refactors
     tp = problems.ou_linear_problem(1)
     budget = bounds.Budget(N=2, M=2, delta=2.0**-4)
-    data = build.serialize(build.solve(tp.problem, 1.0, seed=31415, budget_override=budget))
+    data = build.serialize(build.solve(tp.problem, budget, seed=31415))
     assert len(data) == 67_416
     assert hashlib.sha256(data).hexdigest() == "0ee18ded784f8593a22d2b2a305740681a8ce83e1552f337315bb4c0fc7b819a"
 
@@ -537,7 +529,7 @@ def test_reference_build_bytes_pinned():
     # the README reference build (heat, d=1, (N, M, delta) = (8, 64, 2^-8), seed 2026)
     tp = problems.heat_relu_problem(1)
     budget = bounds.Budget(N=8, M=64, delta=2.0**-8)
-    data = build.serialize(build.solve(tp.problem, 1.0, seed=2026, budget_override=budget))
+    data = build.serialize(build.solve(tp.problem, budget, seed=2026))
     assert len(data) == 23_350_890
     assert hashlib.sha256(data).hexdigest() == "72c5caa0feac59b9b020171c1efe58c0ea5a3281581b9e1d3ec80d2ee04c6702"
 
@@ -563,7 +555,7 @@ def test_pinned_builds_differ_from_the_float_bounds_only_in_the_error_bound(
     # old_bound is the display evaluated in float arithmetic, rounded at every step; with it
     # in place the file is byte for byte the one that evaluation gives, so the way the error
     # bound is evaluated reaches no other field
-    sol = build.solve(maker(1).problem, 1.0, seed=seed, budget_override=budget)
+    sol = build.solve(maker(1).problem, budget, seed=seed)
     values = sol.provenance["bound_values"]
     assert values["error_bound_unit_mass"] == new_bound
     values["error_bound_unit_mass"] = old_bound
@@ -577,12 +569,12 @@ def test_save_solution_rewrites_in_place_to_the_new_length(tmp_path):
     path = tmp_path / "net.json"
     path.write_bytes(b"x" * 2**20)
     tp = problems.ou_linear_problem(1)
-    small = build.solve(tp.problem, 1.0, seed=31415, budget_override=bounds.Budget(N=2, M=2, delta=2.0**-4))
+    small = build.solve(tp.problem, bounds.Budget(N=2, M=2, delta=2.0**-4), seed=31415)
     build.save_solution(small, path)
     data = path.read_bytes()
     assert data == build.serialize(small)
     assert hashlib.sha256(data).hexdigest() == "0ee18ded784f8593a22d2b2a305740681a8ce83e1552f337315bb4c0fc7b819a"
-    large = build.solve(tp.problem, 1.0, seed=7, budget_override=bounds.Budget(N=4, M=4, delta=2.0**-4))
+    large = build.solve(tp.problem, bounds.Budget(N=4, M=4, delta=2.0**-4), seed=7)
     assert len(build.serialize(large)) > len(data)
     build.save_solution(large, path)
     assert path.read_bytes() == build.serialize(large)
@@ -590,7 +582,7 @@ def test_save_solution_rewrites_in_place_to_the_new_length(tmp_path):
 
 def test_save_solution_new_file_mode_follows_umask(tmp_path):
     tp = problems.ou_linear_problem(1)
-    sol = build.solve(tp.problem, 1.0, seed=3, budget_override=bounds.Budget(N=1, M=1, delta=2.0**-4))
+    sol = build.solve(tp.problem, bounds.Budget(N=1, M=1, delta=2.0**-4), seed=3)
     for mask in (0o022, 0o077, 0o002):
         saved, opened = tmp_path / ("saved%o" % mask), tmp_path / ("opened%o" % mask)
         old = os.umask(mask)
@@ -607,7 +599,7 @@ def test_save_solution_new_file_mode_follows_umask(tmp_path):
 def test_degenerate_build_round_trip(N, M):
     # M = 1 skips the pipeline average; N = 1 has a single Euler cell
     tp = problems.heat_relu_problem(1)
-    sol = build.solve(tp.problem, 1.0, seed=7, budget_override=bounds.Budget(N=N, M=M, delta=2.0**-4))
+    sol = build.solve(tp.problem, bounds.Budget(N=N, M=M, delta=2.0**-4), seed=7)
     data = build.serialize(sol)
     back = build.deserialize(data)
     assert build.serialize(back) == data

@@ -213,6 +213,37 @@ def test_verify_rejects_network_of_another_problem(tmp_path, capsys):
     assert "another problem" in captured.err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("N", "2", "provenance N must be an integer"),
+        ("M", 2.0, "provenance M must be an integer"),
+        ("seed", 1.5, "provenance seed must be an integer"),
+        ("seed", True, "provenance seed must be an integer"),
+        ("delta", "x", "provenance delta must be a number in (0, 1]"),
+        ("delta", 0.0, "provenance delta must be a number in (0, 1]"),
+    ],
+)
+def test_verify_mistyped_provenance_exit_two(tmp_path, capsys, field, value, message):
+    out = tmp_path / "ou.json"
+    args = ["build", "--problem", "ou_linear", "--d", "1", "--N", "2", "--M", "2", "--delta", "0.0625", "--seed", "2026"]
+    assert run(args + ["--out", str(out)]) == 0
+    solution = build.load_solution(str(out))
+    solution.provenance[field] = value
+    build.save_solution(solution, str(out))
+    capsys.readouterr()
+    assert run(["verify", "--in", str(out), "--problem", "ou_linear", "--d", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("flag, value", [("--kappa", "nan"), ("--eta", "nan"), ("--p", "nan"), ("--T", "inf"), ("--kappa", "inf")])
+def test_plan_non_finite_regularity_exit_two(capsys, flag, value):
+    assert run(["plan", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "%s must be finite, got %s" % (flag[2:], value) in captured.err
+
+
 def test_verify_realizes_the_network_once(tmp_path, capsys, monkeypatch):
     out = tmp_path / "heat.json"
     args = ["build", "--problem", "heat_relu", "--d", "1", "--N", "2", "--M", "4", "--delta", "0.0625", "--seed", "1"]

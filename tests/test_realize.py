@@ -38,7 +38,7 @@ def _assert_close_to_dense(net, x):
 
 def _build(maker, d, N, M, delta, seed):
     tp = maker(d)
-    sol = build.solve(tp.problem, 1.0, seed=seed, budget_override=bounds.Budget(N=N, M=M, delta=delta))
+    sol = build.solve(tp.problem, bounds.Budget(N=N, M=M, delta=delta), seed=seed)
     return tp, sol.net
 
 

@@ -10,6 +10,8 @@ import pytest
 
 from kolmonet import cli, problems, sde, studies
 
+_CONVERGENCE = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_convergence.py"
+
 
 def test_bounds_domination_suite(tmp_path, capsys):
     out = tmp_path / "report.csv"
@@ -108,7 +110,37 @@ def test_run_convergence_reports_the_strong_gate(tmp_path, monkeypatch, capsys, 
     # the script's last line names the gate strong_interp_study applies
     if wrong:
         monkeypatch.setattr(sde, "interpolate", _interpolate_at_half_time(sde.interpolate))
-    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_convergence.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--outdir", str(tmp_path), "--paths", "200", "--seed", "4"])
-    runpy.run_path(str(script), run_name="__main__")
+    monkeypatch.setattr(sys, "argv", [str(_CONVERGENCE), "--outdir", str(tmp_path), "--paths", "200", "--seed", "4"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(_CONVERGENCE), run_name="__main__")
+    assert exit_.value.code == (1 if wrong else 0)
     assert capsys.readouterr().out.splitlines()[-1] == "strong interpolation check: %s" % line
+
+
+def test_run_convergence_writes_the_study_out_files(tmp_path, capsys):
+    # the script's CSVs and stdout are those of study weak and study euler at the mapped flags
+    main = runpy.run_path(str(_CONVERGENCE))["main"]
+    assert main(["--outdir", str(tmp_path / "conv"), "--paths", "300", "--seed", "6"]) == 0
+    script_out = capsys.readouterr().out
+    assert cli.main(["study", "weak", "--paths", "300", "--seed", "6", "--out", str(tmp_path / "weak.csv")]) == 0
+    assert cli.main(["study", "euler", "--paths", "50000", "--seed", "7", "--out", str(tmp_path / "euler.csv")]) == 0
+    assert script_out == capsys.readouterr().out + "strong interpolation check: ok\n"
+    for name in ("weak.csv", "euler.csv"):
+        assert (tmp_path / "conv" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("paths, euler_paths", [(200, "50000"), (60_000, "60000")])
+@pytest.mark.parametrize("codes, line, code", [((0, 0), "ok", 0), ((0, 1), "outside 4 standard errors", 1),
+                                               ((1, 0), "ok", 1), ((2, 1), "outside 4 standard errors", 2),
+                                               ((0, 2), None, 2)])
+def test_run_convergence_maps_flags_and_exit_codes(tmp_path, monkeypatch, capsys, paths, euler_paths, codes, line, code):
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda argv: seen.append(argv) or codes[len(seen) - 1])
+    main = runpy.run_path(str(_CONVERGENCE))["main"]
+    assert main(["--outdir", str(tmp_path), "--paths", str(paths), "--seed", "9"]) == code
+    assert seen == [
+        ["study", "weak", "--paths", str(paths), "--seed", "9", "--out", str(tmp_path / "weak.csv")],
+        ["study", "euler", "--paths", euler_paths, "--seed", "10", "--out", str(tmp_path / "euler.csv")],
+    ]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ([] if line is None else ["strong interpolation check: %s" % line])
