@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 
 # The arrays _freeze made, by id; an entry dies with its array.  Each owns
@@ -173,6 +171,10 @@ def _split(weight):
     out, inp = weight.shape
     if weight.size < _BLOCK_MIN_SIZE:
         return None
+    # imported here, so that only a realize of a large weight loads scipy.sparse
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     i, j = np.nonzero(weight)
     # row r of the graph lists columns out + j; np.nonzero runs row by row
     ends = np.cumsum(np.bincount(i, minlength=out))

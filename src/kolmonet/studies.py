@@ -13,7 +13,6 @@ import math
 from collections import deque
 
 import numpy as np
-from scipy.stats import linregress
 
 from . import bounds, build, nets, problems, sde
 
@@ -184,8 +183,9 @@ def weak_error_study(
     perturbs the scheme drift to -x + drift_shift, exercising the eps1
     term of the bound.  Rows: (N, paths, |estimate|, std_error, bound).
     The signed estimate must lie within 4 SE of its exact mean too.  Paths
-    run in chunks of at most ``sde._MC_CHUNK_ELEMENTS`` fine increments, and
-    only the terminal states are kept; chunking cannot change a bit.
+    run in chunks of at most ``sde._MC_CHUNK_ELEMENTS`` fine increments, one
+    chunk alive at a time, and only the terminal states are kept; chunking
+    cannot change a bit.
     """
     tp = problems.ou_linear_problem(1)
     pb = tp.problem
@@ -201,11 +201,11 @@ def weak_error_study(
         step = max(1, sde._MC_CHUNK_ELEMENTS // (nf * d))
         diff = np.empty(paths)
         for lo in range(0, paths, step):
-            fine = sde.sample_brownian(seed + j, nf, min(step, paths - lo), d, pb.T, B, first=lo)
-            coarse = fine.coarsen(refine).increments
-            x_T = deque(sde.euler_states(x0, lambda y: -y, fine.increments, pb.T), maxlen=1)[0]
-            y_T = deque(sde.euler_states(x0, lambda y: -y + drift_shift, coarse, pb.T), maxlen=1)[0]
-            diff[lo : lo + step] = x_T.sum(axis=1) - y_T.sum(axis=1)
+            # only the helper's frame holds the chunk, so it is freed before the next draw
+            diff[lo : lo + step] = _weak_chunk_diff(
+                sde.sample_brownian(seed + j, nf, min(step, paths - lo), d, pb.T, B, first=lo),
+                x0, refine, drift_shift,
+            )
         est = float(diff.mean())
         se = float(diff.std(ddof=1) / math.sqrt(paths))
         params = bounds.RegularityParams(
@@ -220,9 +220,23 @@ def weak_error_study(
         rows.append((N, paths, abs(est), se, bound))
         estimates.append((N, abs(est), se))
         ok = ok and abs(est) <= bound + 3.0 * se and abs(est - exact) <= 4.0 * se
-    logs = [(math.log(n), math.log(max(e, 1e-300))) for n, e, _ in estimates]
-    slope = linregress([a for a, _ in logs], [b for _, b in logs]).slope
-    return rows, slope, ok
+    x = [math.log(n) for n, _, _ in estimates]
+    y = [math.log(max(e, 1e-300)) for _, e, _ in estimates]
+    return rows, _slope(x, y), ok
+
+
+def _weak_chunk_diff(fine, x0, refine, drift_shift):
+    """Per-path f0(X_T) - g0(Y_T) of one chunk: the fine scheme against the coarse one."""
+    coarse = fine.coarsen(refine).increments
+    x_T = deque(sde.euler_states(x0, lambda y: -y, fine.increments, fine.T), maxlen=1)[0]
+    y_T = deque(sde.euler_states(x0, lambda y: -y + drift_shift, coarse, fine.T), maxlen=1)[0]
+    return x_T.sum(axis=1) - y_T.sum(axis=1)
+
+
+def _slope(x, y):
+    """Least-squares slope of y on x, by the numpy calls of ``scipy.stats.linregress``, so its bits."""
+    ssxm, ssxym = np.cov(x, y, bias=True)[0]
+    return ssxym / ssxm
 
 
 # ---------------------------------------------------------------------------
@@ -235,25 +249,29 @@ def _mc_euler_functional_errors(tp, N, M, K, seed):
     Fresh Brownian paths per sample point (the estimator targets the
     P (x) nu integrated error): point i draws its M x N x k normals from
     the stream keyed (seed, 7 << 48 | i), so the result does not depend on
-    how the points are chunked.  Points run in the chunks of ``sde.mc_values``.
+    how the points are chunked.  Points run in the chunks of ``sde.mc_values``,
+    one chunk alive at a time.
     """
     pb = tp.problem
-    d = pb.d
     B = sde.sqrtm_psd(2.0 * pb.A)
     ts, xs = tp.measure.sample(K, seed)
     u_vals = tp.exact_solution(ts, xs)
     sq_errors = np.empty(K)
-    scale = math.sqrt(pb.T / N)
-    k_noise = B.shape[1]
-    for s in sde._point_chunks(K, M, N, d):
-        index = np.arange(K)[s]
-        z = sde._philox_normals(seed, sde._TAG_POINT_PATHS, index, M * N * k_noise)
-        inc = scale * (z.reshape(len(index) * M, N, k_noise) @ B.T)
-        vals = sde.mc_values(
-            pb.init_net, pb.drift_net, inc.reshape(len(index), M, N, d), pb.T, ts[s], xs[s]
-        ).mean(axis=1)
+    for s in sde._point_chunks(K, M, N, pb.d):
+        vals = _mc_chunk_values(pb, B, N, M, seed, np.arange(K)[s], ts[s], xs[s])
         sq_errors[s] = (vals - u_vals[s]) ** 2
     return sq_errors
+
+
+def _mc_chunk_values(pb, B, N, M, seed, index, ts, xs):
+    """MC Euler averages at the points ``index``, from their own paths."""
+    k_noise = B.shape[1]
+    z = sde._philox_normals(seed, sde._TAG_POINT_PATHS, index, M * N * k_noise)
+    inc = z.reshape(len(index) * M, N, k_noise) @ B.T
+    del z  # freed before the scaling, so two chunk-sized arrays at most
+    inc *= math.sqrt(pb.T / N)  # the bits of scale * (z @ B.T)
+    inc = inc.reshape(len(index), M, N, pb.d)
+    return sde.mc_values(pb.init_net, pb.drift_net, inc, pb.T, ts, xs).mean(axis=1)
 
 
 def mc_lp_study(budgets=((16, 16), (256, 256)), K: int = 4096, seed: int = 404, d: int = 1):
@@ -284,6 +302,32 @@ def mc_lp_study(budgets=((16, 16), (256, 256)), K: int = 4096, seed: int = 404, 
 
 # ---------------------------------------------------------------------------
 # bound domination report
+
+
+def _row_means(rows_of, n: int, cols: int):
+    """``a.mean(axis=1)`` and ``a.mean()`` of the (n, cols) array a whose rows [lo, hi) are
+    ``rows_of(lo, hi)``, bitwise, from chunks of at most ``sde._MC_CHUNK_ELEMENTS`` values.
+
+    A row mean is its row's sum over ``cols``.  numpy's flat pairwise sum
+    of a contiguous array splits a range of more than 128 values in
+    halves, less each half's remainder modulo 8.  For n a power of two and
+    cols a multiple of 8 above 64, every split falls on a row boundary
+    down to single rows, so the flat sum is the row sums added in halves.
+    """
+    if n & (n - 1) or cols % 8 or cols <= 64:
+        raise ValueError(
+            "need a power-of-two row count and a multiple of 8 above 64 columns, got %d x %d" % (n, cols)
+        )
+    step = max(1, sde._MC_CHUNK_ELEMENTS // cols)
+    sums = np.concatenate([rows_of(lo, min(lo + step, n)).sum(axis=1) for lo in range(0, n, step)])
+
+    def halves(lo, hi):
+        if hi - lo == 1:
+            return sums[lo]
+        mid = (lo + hi) // 2
+        return halves(lo, mid) + halves(mid, hi)
+
+    return sums / cols, halves(0, n) / (n * cols)
 
 
 def bounds_study(seed: int = 505):
@@ -366,10 +410,13 @@ def bounds_study(seed: int = 505):
     ts, xs = tp.measure.sample(2048, seed + 6)
     xnorm = np.linalg.norm(xs, axis=1)
     C, c = tp.problem.params.C, tp.problem.params.c
-    h2 = bounds.path_growth_factor(xnorm[:, None], C, c, tp.problem.T, max_walk[None, :], 2.0)
-    h2sq = np.square(h2, out=h2)  # 2,048 x 20,000: one array, squared in place
-    emp = math.sqrt(h2sq.mean())
-    per_point = h2sq.mean(axis=1)
+
+    def h2sq(lo, hi):  # rows [lo, hi) of the 2,048 x 20,000 squares, squared in place
+        h2 = bounds.path_growth_factor(xnorm[lo:hi, None], C, c, tp.problem.T, max_walk[None, :], 2.0)
+        return np.square(h2, out=h2)
+
+    per_point, mean = _row_means(h2sq, len(xnorm), paths)
+    emp = math.sqrt(mean)
     se = per_point.std(ddof=1) / math.sqrt(len(per_point)) / (2 * emp)
     cal_c = max(1.0, (xnorm ** 8).mean() ** (1.0 / 8.0))
     mart = bounds.gaussian_moment_bound(4.0, tp.problem.T * trace)

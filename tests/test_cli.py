@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import pathlib
 import runpy
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import kolmonet
 from kolmonet import build, cli
 
 
@@ -390,3 +393,18 @@ def test_solution_file_cut_inside_its_last_array_exit_two(tmp_path, capsys):
     assert run(["verify", "--in", str(net), "--problem", "ou_linear", "--d", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "cannot load network" in captured.err
+
+
+def test_import_and_path_studies_load_no_heavy_module():
+    # a fresh interpreter on this package's sources: this one has loaded them all
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "check_imports.py"
+    src = str(pathlib.Path(kolmonet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True)
+    none = "exit 0, loaded none of scipy.stats, scipy.sparse, mpmath"
+    assert proc.stdout.splitlines() == [
+        "import kolmonet.cli: " + none,
+        "kolmonet study weak --paths 200: " + none,
+        "kolmonet study euler --paths 2000: " + none,
+    ], proc.stderr
+    assert proc.returncode == 0

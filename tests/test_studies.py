@@ -1,12 +1,15 @@
 """The domination suite: every bound beats its matched empirical quantity."""
 
 import dataclasses
+import math
 import pathlib
 import runpy
 import sys
+import weakref
 
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
 from kolmonet import cli, problems, sde, studies
 
@@ -43,6 +46,67 @@ def test_weak_error_study_independent_of_chunk(monkeypatch, elements):
     want = studies.weak_error_study(Ns=(2, 8), paths=30, refine=64, seed=9)
     monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", elements)
     assert studies.weak_error_study(Ns=(2, 8), paths=30, refine=64, seed=9) == want
+
+
+def test_weak_slope_is_linregress_bitwise():
+    # on the study's own rows at the CLI's --paths 500, and on random sets of 2 to 10 points
+    rows, slope, _ = studies.weak_error_study(paths=500, seed=0)
+    x = [math.log(N) for N, *_ in rows]
+    y = [math.log(est) for _, _, est, _, _ in rows]
+    assert slope == linregress(x, y).slope
+    gen = np.random.default_rng(17)
+    for n in gen.integers(2, 11, size=500):
+        x, y = gen.uniform(-5.0, 5.0, size=n), gen.normal(size=n)
+        assert studies._slope(x, y) == linregress(x, y).slope
+
+
+def _record_draws(monkeypatch, owner, name, arrays):
+    """Wrap ``owner.name`` to keep weakrefs to the arrays of each draw; returns, per draw,
+    how many arrays of earlier draws were alive when it started."""
+    draw, refs, alive = getattr(owner, name), [], []
+
+    def recorded(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        out = draw(*args, **kwargs)
+        refs.extend(weakref.ref(a) for a in arrays(out))
+        return out
+
+    monkeypatch.setattr(owner, name, recorded)
+    return alive
+
+
+def _grid_arrays(grid):
+    inc = grid.increments
+    return [grid, inc] + ([] if inc.base is None else [inc.base])
+
+
+def test_weak_study_holds_one_chunk_at_a_time(monkeypatch):
+    monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", 4 * 512)  # 2 and 8 chunks of 16 and 4 paths
+    alive = _record_draws(monkeypatch, sde, "sample_brownian", _grid_arrays)
+    studies.weak_error_study(Ns=(2, 8), paths=30, refine=64, seed=9)
+    assert len(alive) == 10 and alive == [0] * 10
+
+
+def test_mc_euler_functional_holds_one_chunk_at_a_time(monkeypatch):
+    monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", 37 * 8 * 5)  # 9 chunks of 37 points
+    alive = _record_draws(monkeypatch, sde, "_philox_normals", lambda z: [z])
+    studies._mc_euler_functional_errors(problems.heat_relu_problem(1), 4, 8, 300, seed=404)
+    assert len(alive) == 9 and alive == [0] * 9
+
+
+@pytest.mark.parametrize("elements", [800, 5 * 800, 1 << 22])
+def test_row_means_are_numpys_means(monkeypatch, elements):
+    # a row per chunk; 5 rows per chunk, not dividing 64; one chunk
+    a = np.random.default_rng(3).normal(size=(64, 800))
+    monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", elements)
+    per_row, mean = studies._row_means(lambda lo, hi: a[lo:hi].copy(), 64, 800)
+    assert np.array_equal(per_row, a.mean(axis=1)) and mean == a.mean()
+
+
+@pytest.mark.parametrize("n, cols", [(48, 800), (64, 804), (4, 64)])
+def test_row_means_rejects_shapes_whose_flat_sum_is_not_the_row_sums_in_halves(n, cols):
+    with pytest.raises(ValueError, match="power-of-two"):
+        studies._row_means(lambda lo, hi: np.ones((hi - lo, cols)), n, cols)
 
 
 def _coarse_mean_shift(coarsen):
