@@ -7,16 +7,23 @@ solution network), ``verify`` (error report for a written network), and
 All commands are deterministic given their flags; seeds are explicit.
 Exit codes: 0 success, 1 bound violation, 2 input/IO error.  Flags beat
 values from ``--config`` (a JSON file mirroring flag names), which beat
-built-in defaults.  KOLMONET_THREADS caps BLAS parallelism when set
-before the interpreter first loads numpy.
+built-in defaults.  KOLMONET_THREADS, a positive integer, caps the
+Brownian sampler's threads (one per CPU by default), and BLAS parallelism
+too when set before the interpreter first loads numpy; any other
+nonempty value exits 2 before any work.
 """
 
 import os
 
-_threads = os.environ.get("KOLMONET_THREADS")
+from . import _thread_cap
+
+try:
+    _threads = _thread_cap()
+except ValueError:
+    _threads = None  # main() rejects the value
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+        os.environ.setdefault(_var, str(_threads))
 
 import argparse
 import json
@@ -237,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        _thread_cap()
         args = _parse(parser, argv)
         return args.func(args)
     except (ValueError, OverflowError) as exc:

@@ -20,10 +20,20 @@ word ``w`` of a stream is lane ``w % 4`` of the block at counter
 ``w // 4 + 1``; the uniform is ``((word >> 11) + 0.5) 2^-53``, which is
 ``Generator.integers(0, 2**53)`` exactly (Lemire's method never rejects
 at a range of 2^53).  Short streams run the 10-round bijection for all
-paths at once in uint64 numpy code; streams of at least 512 words read
-the raw words of one numpy C ``Philox``, re-keyed per path.  Both give
-the same bits, and the tests compare them with the ``Generator`` path.
-Path indices stay below 2^48, so they never reach the purpose tag.
+paths at once in uint64 numpy code; streams of at least 512 words fill
+each row with ``Generator.random``, (word >> 11) 2^-53, of one numpy C
+``Philox`` re-keyed per path.  Both convert in place, adding 2^-54, and
+give the same bits; the tests compare them with the ``Generator.integers``
+path.  Path indices stay below 2^48, so they never reach the purpose tag.
+
+Threads: the paths of a draw run in chunks of max(1, 4 * _CHUNK_BLOCKS //
+(N k)) paths, on a pool with one thread per CPU of the process, capped by
+KOLMONET_THREADS; a draw of one chunk runs inline.  Each chunk is one
+batched product of the same shape on any thread, so the bits do not
+depend on the thread count.  The calling thread allocates each thread's
+normals, products and Philox state, and the threads allocate nothing
+large: glibc keeps a thread's freed blocks in that thread's heap, so
+temporaries made on two threads would raise the peak memory.
 
 Memory layout: a path of at least 512 increment values is one row of a
 buffer whose row stride is one 64-byte cache line longer than the row.
@@ -36,14 +46,19 @@ are those of the contiguous array.
 
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
+from . import _thread_cap
 from .nets import Network, realize
 
 _U53 = float(2.0 ** -53)
+_U54 = float(2.0 ** -54)  # half of _U53: ((w >> 11) + 0.5) 2^-53 is (w >> 11) 2^-53 + 2^-54, rounded once
 
 # purpose tags for substream derivation
 _TAG_INCREMENTS = 1
@@ -69,6 +84,8 @@ _PADDED_ROW_VALUES = 512
 _ROW_PAD = 8
 # Grid values (points x paths x (steps + 1) x d) that ``mc_values`` holds per chunk.
 _MC_CHUNK_ELEMENTS = 1 << 22
+# The sampler's threads: made by the first draw of more than one chunk.
+_POOL = None
 
 
 def _key(seed: int, tag: int, index: int) -> np.ndarray:
@@ -79,14 +96,12 @@ def _stream(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, tag, index)))
 
 
-def _u53_normals(bits) -> np.ndarray:
-    """Normals from integers in [0, 2^53) through the midpoint uniform."""
-    return ndtri((bits.astype(np.float64) + 0.5) * _U53)
-
-
 def _normals(gen: np.random.Generator, shape) -> np.ndarray:
-    """Normals through ``Generator.integers``: the tests' oracle, whose bits the sampler reproduces."""
-    return _u53_normals(gen.integers(0, 2**53, size=shape))
+    """Normals of ``Generator.integers(0, 2**53)`` through the midpoint uniform.
+
+    The tests' oracle, whose bits the sampler reproduces.
+    """
+    return ndtri((gen.integers(0, 2**53, size=shape).astype(np.float64) + 0.5) * _U53)
 
 
 def _mulhilo(a: np.uint64, b: np.ndarray):
@@ -101,7 +116,10 @@ def _mulhilo(a: np.uint64, b: np.ndarray):
 
 
 def _philox_words(seed: int, key1: np.ndarray, blocks: int) -> np.ndarray:
-    """Words of blocks 1..``blocks`` of the streams keyed (seed, key1[i]): shape (rows, 4 * blocks)."""
+    """Words of blocks 1..``blocks`` of the streams keyed (seed, key1[i]): shape (rows, 4 * blocks).
+
+    The tests' oracle for ``_philox_lanes``, which computes the same words in place.
+    """
     c0 = np.arange(1, blocks + 1, dtype=np.uint64) + np.zeros_like(key1)
     c1 = c2 = c3 = np.zeros_like(c0)
     k0, k1 = seed & _MASK64, key1
@@ -116,31 +134,174 @@ def _philox_words(seed: int, key1: np.ndarray, blocks: int) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(key1), 4 * blocks)
 
 
+def _mulhi_into(a: np.uint64, b: np.ndarray, hi, blo, bhi, mid, lh):
+    """hi = the high half of a * b: the sums of ``_mulhilo``, in place (mod 2^64, so in any order)."""
+    a_lo, a_hi = a & _LO32, a >> np.uint64(32)
+    np.bitwise_and(b, _LO32, out=blo)
+    np.right_shift(b, 32, out=bhi)
+    np.multiply(blo, a_lo, out=mid)
+    mid >>= 32  # ll >> 32
+    np.multiply(bhi, a_lo, out=lh)
+    np.multiply(blo, a_hi, out=blo)  # hl
+    np.multiply(bhi, a_hi, out=hi)
+    for part in (lh, blo):
+        np.bitwise_and(part, _LO32, out=bhi)
+        mid += bhi
+        part >>= 32
+        hi += part
+    mid >>= 32
+    hi += mid
+
+
+def _philox_lanes(seed: int, key1: np.ndarray, blocks: int, work: np.ndarray):
+    """The four lanes of ``_philox_words(seed, key1, blocks)``, each (rows, blocks), computed in place.
+
+    ``work`` is an (11, n) uint64 array with n >= rows * blocks; the lanes are
+    views of it.  Every round is ``_mulhilo`` and the lane shuffle of
+    ``_philox_words`` through ``out=`` ufuncs, so no array of the lanes' size
+    is allocated.
+    """
+    rows = len(key1)
+    c0, c1, c2, c3, h0, h1, blo, bhi, mid, lh = (w[: rows * blocks].reshape(rows, blocks) for w in work[:10])
+    k1 = work[10, :rows].reshape(rows, 1)
+    k1[:] = key1
+    c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
+    c1.fill(0)
+    c2.fill(0)
+    c3.fill(0)
+    k0 = seed & _MASK64
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 += np.uint64(_PHILOX_W[1])
+        _mulhi_into(_PHILOX_M[0], c0, h0, blo, bhi, mid, lh)
+        c0 *= _PHILOX_M[0]  # lo0
+        _mulhi_into(_PHILOX_M[1], c2, h1, blo, bhi, mid, lh)
+        c2 *= _PHILOX_M[1]  # lo1
+        h1 ^= c1
+        h1 ^= np.uint64(k0)
+        h0 ^= c3
+        h0 ^= k1
+        c0, c1, c2, c3, h0, h1 = h1, c2, h0, c0, c1, c3
+    return c0, c1, c2, c3
+
+
+def _normals_into(z: np.ndarray, seed: int, tag: int, index: np.ndarray, scratch) -> np.ndarray:
+    """Fill row i of z, shape (rows, n), with the first n normals of the stream (seed, tag << 48 | index[i]).
+
+    In place: ``scratch`` is what ``_scratch(seed, tag, n, rows)`` returns, and
+    nothing else of size n is allocated.  Streams of at least 512 words
+    fill each row with ``Generator.random``, which is (word >> 11) 2^-53;
+    shorter ones run ``_philox_lanes`` and shift and scale their words.
+    Adding 2^-54 then gives the midpoint uniform of ``_normals`` with its
+    one rounding, and ``ndtri`` runs in place.
+    """
+    rows, n = z.shape
+    if rows and index.max() >= _PATH_LIMIT:
+        raise ValueError("path index %d reaches 2^48" % index.max())
+    if n >= _ROW_STREAM_WORDS:
+        gen, fresh = scratch
+        for i, m in enumerate(index.tolist()):
+            # re-key through the fresh state (counter 0, empty buffer)
+            fresh["state"]["key"] = _key(seed, tag, m)
+            gen.bit_generator.state = fresh
+            gen.random(out=z[i])
+    else:
+        blocks = -(-n // 4)
+        step = scratch.shape[1] // blocks
+        for lo in range(0, rows, step):
+            lanes = _philox_lanes(seed, np.uint64(tag << 48) | index[lo : lo + step, None], blocks, scratch)
+            for j, lane in enumerate(lanes):
+                lane >>= 11
+                z[lo : lo + step, j::4] = lane[:, : (n - j + 3) // 4]
+        z *= _U53
+    z += _U54
+    return ndtri(z, out=z)
+
+
+def _scratch(seed: int, tag: int, n: int, rows: int):
+    """The Philox state ``_normals_into`` works in for ``rows`` streams of n words.
+
+    A generator and its fresh state for long streams, re-keyed per path
+    (constructing one per path would gather OS entropy each time); the
+    uint64 lanes of ``_philox_lanes`` for short ones.
+    """
+    if n >= _ROW_STREAM_WORDS:
+        gen = np.random.Generator(np.random.Philox(key=_key(seed, tag, 0)))
+        return gen, gen.bit_generator.state
+    blocks = -(-n // 4)
+    return np.empty((11, max(1, min(rows, _CHUNK_BLOCKS // blocks)) * blocks), dtype=np.uint64)
+
+
 def _philox_normals(seed: int, tag: int, index, n: int) -> np.ndarray:
     """First n normals of the streams keyed (seed, tag << 48 | index[i]), shape (len(index), n).
 
     Row i equals ``_normals(_stream(seed, tag, index[i]), n)`` bitwise.
     """
     index = np.asarray(index, dtype=np.uint64).reshape(-1)
-    if len(index) and index.max() >= _PATH_LIMIT:
-        raise ValueError("path index %d reaches 2^48" % index.max())
-    out = np.empty((len(index), n))
-    if n >= _ROW_STREAM_WORDS:
-        # one C Philox, re-keyed per path through its fresh state (counter 0, empty
-        # buffer): constructing one per path would gather OS entropy each time
-        philox = np.random.Philox(key=_key(seed, tag, 0))
-        state = philox.state
-        for i, m in enumerate(index.tolist()):
-            state["state"]["key"] = _key(seed, tag, m)
-            philox.state = state
-            out[i] = _u53_normals(philox.random_raw(n) >> 11)
+    return _normals_into(np.empty((len(index), n)), seed, tag, index, _scratch(seed, tag, n, len(index)))
+
+
+def _workers() -> int:
+    """Sampler threads: one per CPU this process may run on, capped by KOLMONET_THREADS."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cap = _thread_cap()
+    return min(cpus, cap) if cap else cpus
+
+
+def _executor(size: int) -> ThreadPoolExecutor:
+    """The sampler's pool, made with ``size`` threads on first use.
+
+    A later draw may ask for another size; the number of buffer sets it
+    makes still caps how many of its chunks run at once.
+    """
+    global _POOL
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(size, thread_name_prefix="kolmonet-sampler")
+    return _POOL
+
+
+def _fill_increments(out: np.ndarray, seed: int, tag: int, index: np.ndarray, B: np.ndarray, scale) -> np.ndarray:
+    """Set out[i] = scale * (z_i @ B.T), where z_i are the normals of the stream (seed, tag << 48 | index[i]).
+
+    ``out`` has shape (rows, ..., d) and may be a view with padded rows;
+    z_i is the stream's first n = out[i].size // d * k normals, shaped
+    out[i].shape[:-1] + (k,) for the d x k matrix B.  The streams run in
+    chunks of max(1, 4 * _CHUNK_BLOCKS // n), on the pool of ``_workers()``
+    threads when there is more than one chunk (see the module docstring).
+    The threads call only private functions, and write into buffers this
+    thread allocates.  Returns ``out``.
+    """
+    count, d, k = len(out), out.shape[-1], B.shape[1]
+    inner = out.shape[1:-1]
+    n = int(np.prod(inner, dtype=np.int64)) * k
+    rows = min(count, max(1, 4 * _CHUNK_BLOCKS // n))
+    starts = range(0, count, rows)
+    size = 1 if len(starts) == 1 else min(_workers(), len(starts))
+    buffers = queue.SimpleQueue()
+    for _ in range(size):
+        buffers.put((np.empty((rows, n)), np.empty((rows, *inner, d)), _scratch(seed, tag, n, rows)))
+
+    def chunk(lo):
+        z, prod, scratch = buf = buffers.get()
+        try:
+            hi = min(lo + rows, count)
+            z, prod = z[: hi - lo], prod[: hi - lo]
+            _normals_into(z, seed, tag, index[lo:hi], scratch)
+            np.matmul(z.reshape(hi - lo, *inner, k), B.T, out=prod)
+            np.multiply(prod, scale, out=out[lo:hi])
+        finally:
+            buffers.put(buf)
+
+    if size == 1:
+        for lo in starts:
+            chunk(lo)
         return out
-    blocks = -(-n // 4)
-    rows = max(1, _CHUNK_BLOCKS // blocks)
-    key1 = (np.uint64(tag << 48) | index)[:, None]
-    for lo in range(0, len(index), rows):
-        words = _philox_words(seed, key1[lo : lo + rows], blocks)[:, :n]
-        out[lo : lo + rows] = _u53_normals(words >> 11)
+    pool = _executor(size)
+    futures = [pool.submit(chunk, lo) for lo in starts]
+    wait(futures)
+    for future in futures:
+        future.result()  # the first chunk's error, in chunk order
     return out
 
 
@@ -240,17 +401,12 @@ def sample_brownian(seed: int, N: int, M: int, d: int, T: float, B=None, *, firs
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if B.shape[0] != d:
         raise ValueError("diffusion matrix must have %d rows" % d)
-    k = B.shape[1]
     scale = np.sqrt(T / N)
     if N * d >= _PADDED_ROW_VALUES:
         increments = np.empty((M, N * d + _ROW_PAD))[:, : N * d].reshape(M, N, d)
     else:
         increments = np.empty((M, N, d))
-    rows = max(1, 4 * _CHUNK_BLOCKS // (N * k))  # paths per chunk: small normals temporaries
-    for lo in range(0, M, rows):
-        hi = min(lo + rows, M)
-        z = _philox_normals(seed, _TAG_INCREMENTS, np.arange(first + lo, first + hi), N * k)
-        increments[lo:hi] = scale * (z.reshape(hi - lo, N, k) @ B.T)
+    _fill_increments(increments, seed, _TAG_INCREMENTS, np.arange(first, first + M, dtype=np.uint64), B, scale)
     increments.flags.writeable = False
     return BrownianGrid(seed=seed, N=N, M=M, d=d, T=float(T), increments=increments, diffusion=B)
 

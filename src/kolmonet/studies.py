@@ -250,7 +250,9 @@ def _mc_euler_functional_errors(tp, N, M, K, seed):
     P (x) nu integrated error): point i draws its M x N x k normals from
     the stream keyed (seed, 7 << 48 | i), so the result does not depend on
     how the points are chunked.  Points run in the chunks of ``sde.mc_values``,
-    one chunk alive at a time.
+    one chunk alive at a time, and each chunk's paths are drawn by the
+    sampler's threads, one point's stream per task when a stream holds at
+    least 4 * ``sde._CHUNK_BLOCKS`` normals.
     """
     pb = tp.problem
     B = sde.sqrtm_psd(2.0 * pb.A)
@@ -258,19 +260,15 @@ def _mc_euler_functional_errors(tp, N, M, K, seed):
     u_vals = tp.exact_solution(ts, xs)
     sq_errors = np.empty(K)
     for s in sde._point_chunks(K, M, N, pb.d):
-        vals = _mc_chunk_values(pb, B, N, M, seed, np.arange(K)[s], ts[s], xs[s])
+        vals = _mc_chunk_values(pb, B, N, M, seed, np.arange(K, dtype=np.uint64)[s], ts[s], xs[s])
         sq_errors[s] = (vals - u_vals[s]) ** 2
     return sq_errors
 
 
 def _mc_chunk_values(pb, B, N, M, seed, index, ts, xs):
     """MC Euler averages at the points ``index``, from their own paths."""
-    k_noise = B.shape[1]
-    z = sde._philox_normals(seed, sde._TAG_POINT_PATHS, index, M * N * k_noise)
-    inc = z.reshape(len(index) * M, N, k_noise) @ B.T
-    del z  # freed before the scaling, so two chunk-sized arrays at most
-    inc *= math.sqrt(pb.T / N)  # the bits of scale * (z @ B.T)
-    inc = inc.reshape(len(index), M, N, pb.d)
+    inc = np.empty((len(index), M, N, pb.d))
+    sde._fill_increments(inc, seed, sde._TAG_POINT_PATHS, index, B, math.sqrt(pb.T / N))
     return sde.mc_values(pb.init_net, pb.drift_net, inc, pb.T, ts, xs).mean(axis=1)
 
 

@@ -138,6 +138,28 @@ def test_study_degenerate_counts_exit_two_before_any_work(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_kolmonet_threads_exits_two_before_any_work(capsys, monkeypatch, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli.studies, "strong_interp_study", no_work)
+    monkeypatch.setenv("KOLMONET_THREADS", value)
+    assert run(["study", "euler", "--paths", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: KOLMONET_THREADS must be a positive integer, got %r\n" % value
+    assert captured.out == ""
+
+
+def test_bad_kolmonet_threads_exits_two_from_a_fresh_process():
+    env = dict(os.environ, KOLMONET_THREADS="0", PYTHONPATH=str(pathlib.Path(kolmonet.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kolmonet.cli", "plan"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: KOLMONET_THREADS must be a positive integer, got '0'\n"
+
+
 def test_study_csv_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(["study", "calculus", "--instances", "40", "--out", str(a)]) == 0

@@ -1,6 +1,8 @@
 """Simulation layer: increment statistics, scheme exactness, oracles."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -170,6 +172,117 @@ def test_philox_normals_independent_of_row_order_and_chunking(monkeypatch, n):
     assert np.array_equal(np.vstack(parts), whole)
     monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 5)
     assert np.array_equal(sde._philox_normals(11, 1, index, n), whole)
+
+
+@pytest.fixture
+def pool_size(monkeypatch):
+    """Set the sampler's thread count; each test starts without a pool and shuts down its own."""
+    monkeypatch.setattr(sde, "_POOL", None)
+    yield lambda size: monkeypatch.setattr(sde, "_workers", lambda: size)
+    if sde._POOL is not None:
+        sde._POOL.shutdown()
+
+
+@pytest.mark.parametrize(
+    "N, B",
+    [
+        (5, np.array([[1.0, 0.5], [0.0, 2.0]])),  # N*k = 10 < 512, contiguous rows, 6 paths a chunk
+        (200, np.array([[1.0], [-0.5], [2.0]])),  # N*k = 200 < 512, padded rows (N*d = 600)
+        (256, np.array([[1.0, 0.5]])),  # N*k = 512, the per-path generator, contiguous rows
+        (300, np.arange(6.0).reshape(2, 3) / 4),  # N*k = 900, padded rows
+    ],
+)
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_sample_brownian_bits_do_not_depend_on_the_thread_count(monkeypatch, pool_size, size, N, B):
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 16)  # 4 to 23 chunks of the 23 paths
+    first, M, d = 5, 23, B.shape[0]
+    pool_size(1)
+    serial = sde.sample_brownian(3, N, M, d, 0.8, B, first=first).increments
+    assert sde._POOL is None
+    pool_size(size)
+    got = sde.sample_brownian(3, N, M, d, 0.8, B, first=first).increments
+    assert (sde._POOL is not None) == (size > 1)
+    assert got.strides == serial.strides and np.array_equal(got, serial)
+    assert np.array_equal(got, _per_path_increments(3, N, first + M, 0.8, B)[first:])
+
+
+@pytest.mark.parametrize("N", [3, 600])
+def test_sampler_threads_beyond_the_cpus_keep_their_buffers_apart(monkeypatch, pool_size, N):
+    # more threads than CPUs, switching every microsecond: a buffer two chunks shared would mix their paths
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 8)
+    pool_size(1)
+    want = sde.sample_brownian(12, N, 200, 2, 1.0).increments
+    pool_size(6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert np.array_equal(sde.sample_brownian(12, N, 200, 2, 1.0).increments, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("M, N", [(16, 16), (3, 256)])  # short and long point streams
+def test_point_path_increments_do_not_depend_on_the_thread_count(monkeypatch, pool_size, size, M, N):
+    # the MC Euler functional study's draw: point i's M paths are one stream, scaled after B
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 64)
+    pool_size(size)
+    B = np.array([[1.0, 0.5], [0.25, 2.0]])
+    index = np.arange(9, 40, dtype=np.uint64)
+    got = sde._fill_increments(np.empty((len(index), M, N, 2)), 4, 7, index, B, math.sqrt(0.5 / N))
+    want = sde._philox_normals(4, 7, index, M * N * 2).reshape(len(index) * M, N, 2) @ B.T
+    want *= math.sqrt(0.5 / N)
+    assert np.array_equal(got, want.reshape(got.shape))
+
+
+@pytest.mark.parametrize("n", [4, 600])
+def test_a_path_index_error_of_a_later_chunk_reaches_the_caller(monkeypatch, pool_size, n):
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 1)  # one path per chunk: the error is raised in the fourth
+    pool_size(2)
+    with pytest.raises(ValueError, match="path index 281474976710656 reaches 2\\^48"):
+        sde.sample_brownian(0, n, 6, 1, 1.0, first=2**48 - 3)
+
+
+def test_a_one_chunk_draw_starts_no_thread(monkeypatch, pool_size):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was made")
+
+    monkeypatch.setattr(sde, "ThreadPoolExecutor", no_pool)
+    pool_size(2)
+    sde.sample_brownian(2026, 8, 64, 1, 1.0)  # the reference build's draw
+    pool_size(1)
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 1)
+    sde.sample_brownian(2026, 8, 64, 1, 1.0)  # 64 chunks, one thread
+    assert sde._POOL is None
+
+
+@pytest.mark.parametrize("rows, blocks", [(1, 1), (7, 3), (300, 4), (37, 128)])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_philox_lanes_equal_the_allocating_words(seed, rows, blocks):
+    key1 = (np.uint64(5 << 48) | np.arange(2**48 - rows, 2**48, dtype=np.uint64))[:, None]
+    work = np.full((11, rows * blocks + 5), 7, dtype=np.uint64)  # stale words and spare lanes
+    lanes = sde._philox_lanes(seed, key1, blocks, work)
+    got = np.stack(lanes, axis=-1).reshape(rows, 4 * blocks)
+    assert np.array_equal(got, sde._philox_words(seed, key1, blocks))
+    assert all(np.shares_memory(lane, work) for lane in lanes)
+
+
+@pytest.mark.parametrize("value, cap", [(None, None), ("", None), ("1", 1), ("3", 3), ("02", 2)])
+def test_sampler_threads_are_the_cpus_capped_by_kolmonet_threads(monkeypatch, value, cap):
+    if value is None:
+        monkeypatch.delenv("KOLMONET_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("KOLMONET_THREADS", value)
+    cpus = len(os.sched_getaffinity(0))
+    assert sde._workers() == (min(cpus, cap) if cap else cpus)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", " 2"])
+def test_kolmonet_threads_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("KOLMONET_THREADS", value)
+    with pytest.raises(ValueError, match="KOLMONET_THREADS must be a positive integer"):
+        sde._workers()
 
 
 def test_euler_zero_drift_partial_sums():

@@ -89,7 +89,7 @@ def test_weak_study_holds_one_chunk_at_a_time(monkeypatch):
 
 def test_mc_euler_functional_holds_one_chunk_at_a_time(monkeypatch):
     monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", 37 * 8 * 5)  # 9 chunks of 37 points
-    alive = _record_draws(monkeypatch, sde, "_philox_normals", lambda z: [z])
+    alive = _record_draws(monkeypatch, sde, "_fill_increments", lambda inc: [inc])
     studies._mc_euler_functional_errors(problems.heat_relu_problem(1), 4, 8, 300, seed=404)
     assert len(alive) == 9 and alive == [0] * 9
 
