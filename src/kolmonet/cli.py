@@ -133,6 +133,14 @@ def cmd_verify(args) -> int:
             return _fail("provenance %s must be an integer, got %r" % (name, value))
     if type(delta) not in (int, float) or not 0.0 < delta <= 1.0:
         return _fail("provenance delta must be a number in (0, 1], got %r" % (delta,))
+    if min(N, M) < 1:
+        return _fail("provenance N and M must be positive, got N=%d, M=%d" % (N, M))
+    # every step of every member carries d product blocks, so a network has at least N M d parameters
+    if N * M * pb.d > nets.param_count(net):
+        return _fail(
+            "provenance N=%d, M=%d, d=%d need at least %d parameters, the network has %d"
+            % (N, M, pb.d, N * M * pb.d, nets.param_count(net))
+        )
     B = sde.sqrtm_psd(2.0 * pb.A)
     noise = sde.sample_brownian(seed, N, M, pb.d, pb.T, B)
     p = pb.params.p

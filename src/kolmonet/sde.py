@@ -1,11 +1,11 @@
 """Additive-noise SDE simulation and Monte Carlo oracles.
 
 Implements the uniform-grid Euler scheme as one recursion (``euler_states``
-yields each step's state; ``euler_grid`` keeps them all) with piecewise-linear
-time interpolation, Brownian increment sampling on counter-based substreams,
-the one Monte Carlo evaluator of the interpolated scheme (``mc_values``)
-and the Feynman-Kac estimator built on it, and sampled L^p distances
-over a uniform space-time box.
+yields each step's state), Brownian increment sampling on counter-based
+substreams, the one evaluator of the piecewise-linearly interpolated
+scheme and of its Monte Carlo averages (``mc_values``, which keeps two
+states per path) and the Feynman-Kac estimator built on it, and sampled
+L^p distances over a uniform space-time box.
 
 Randomness is reproducible and order independent: path ``m`` of a grid
 draws from a Philox4x64-10 stream keyed by (seed mod 2^64, purpose << 48 | m),
@@ -82,7 +82,8 @@ _PATH_LIMIT = 1 << 48
 # From this many values per path on, each row is followed by one 64-byte line (8 floats).
 _PADDED_ROW_VALUES = 512
 _ROW_PAD = 8
-# Grid values (points x paths x (steps + 1) x d) that ``mc_values`` holds per chunk.
+# Grid values (points x paths x (steps + 1) x d) per chunk of ``mc_values``: the chunks set the
+# batch shapes of the drift, and so its bits.
 _MC_CHUNK_ELEMENTS = 1 << 22
 # The sampler's threads: made by the first draw of more than one chunk.
 _POOL = None
@@ -361,18 +362,15 @@ class UniformSpaceTimeMeasure:
 
 @dataclass(frozen=True)
 class BrownianGrid:
-    """Per-path, per-step increments B(W_{(n+1)T/N} - W_{nT/N}) on a uniform grid.
+    """Per-path, per-step increments B(W_{(n+1)T/N} - W_{nT/N}) on a uniform grid."""
 
-    ``seed`` and ``diffusion`` are None on a grid assembled from given increments.
-    """
-
-    seed: int | None
+    seed: int
     N: int
     M: int
     d: int
     T: float
     increments: np.ndarray  # (M, N, d)
-    diffusion: np.ndarray | None  # the matrix B, (d, k)
+    diffusion: np.ndarray  # the matrix B, (d, k)
 
     @property
     def grid(self) -> np.ndarray:
@@ -433,14 +431,6 @@ def _as_fn(fn):
     return fn
 
 
-@dataclass(frozen=True)
-class SchemeState:
-    """Euler grid values for all paths."""
-
-    grid_values: np.ndarray  # (M, N+1, d)
-    noise: BrownianGrid
-
-
 def euler_states(x, drift, increments, T: float):
     """Yield Y_0, ..., Y_N of Y_{n+1} = Y_n + (T/N) mu(Y_n) + dW_n, each of shape (M, d).
 
@@ -463,40 +453,6 @@ def euler_states(x, drift, increments, T: float):
         yield y
 
 
-def euler_grid(x, drift, noise: BrownianGrid) -> SchemeState:
-    """All states of ``euler_states`` on ``noise``: grid values of shape (M, N+1, d)."""
-    M, N, d = noise.increments.shape
-    y = np.empty((M, N + 1, d))
-    for n, y_n in enumerate(euler_states(x, drift, noise.increments, noise.T)):
-        y[:, n] = y_n
-    y.flags.writeable = False
-    return SchemeState(grid_values=y, noise=noise)
-
-
-def interpolate(state: SchemeState, t) -> np.ndarray:
-    """Piecewise-linear value Y_t = (1 - rho) Y_{tau_n} + rho Y_{tau_{n+1}}.
-
-    ``t`` is one time for all paths or one time per path, shape (M,).
-    Returns shape (M, d).  At grid times, and at t = T, the stored grid
-    value is returned bitwise.
-    """
-    T, N = state.noise.T, state.noise.N
-    y = state.grid_values
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64), y.shape[:1])
-    inside = (0.0 <= t) & (t <= T)
-    if not inside.all():
-        raise ValueError("time %g outside [0, %g]" % (t[~inside][0], T))
-    n = np.minimum(np.floor(t * N / T).astype(np.intp), N - 1)
-    rows = np.arange(len(t))
-    lo, hi = y[rows, n], y[rows, n + 1]
-    rho = (t * N / T - n)[:, None]
-    out = (1.0 - rho) * lo + rho * hi
-    # exact grid hits bypass the convex combination
-    grid = state.noise.grid
-    out = np.where((t == grid[n])[:, None], lo, out)
-    return np.where(((t == grid[n + 1]) | (t == T))[:, None], hi, out)
-
-
 def _point_chunks(K: int, M: int, N: int, d: int):
     """Slices over K points of at most _MC_CHUNK_ELEMENTS grid values each (at least one point)."""
     step = max(1, _MC_CHUNK_ELEMENTS // (M * (N + 1) * d))
@@ -510,9 +466,15 @@ def mc_values(f0, drift, increments, T: float, t, x) -> np.ndarray:
     time t[i].  ``increments`` are shared by all points, shape (M, N, d),
     or drawn per point, shape (K, M, N, d).  ``f0`` and ``drift`` may be
     Networks or callables on (batch, d) arrays.  Row i of ``.mean(1)`` is
-    the Monte Carlo average (1/M) sum_m f0(Y_t^{m, x_i}).  Points are run
-    in chunks of at most _MC_CHUNK_ELEMENTS grid values; every value is
-    bitwise the one a single-point ``euler_grid`` and ``interpolate`` give.
+    the Monte Carlo average (1/M) sum_m f0(Y_t^{m, x_i}).
+
+    Y_t = (1 - rho) Y_{tau_n} + rho Y_{tau_{n+1}} with n = min(floor(t N / T),
+    N - 1) and rho = t N / T - n; at grid times, and at t = T, Y_t is the
+    grid state bitwise.  A time outside [0, T], NaN included, raises
+    ValueError naming the first one.  Points run in chunks of at most
+    _MC_CHUNK_ELEMENTS grid values, which set the batch shapes of ``drift``;
+    each path keeps only its two states around its time, and the recursion
+    stops at the last state a chunk reads.
     """
     x = np.asarray(x, dtype=np.float64)
     K = len(x)
@@ -523,14 +485,31 @@ def mc_values(f0, drift, increments, T: float, t, x) -> np.ndarray:
     if increments.ndim != 4 or len(increments) != K or x.shape != (K, increments.shape[3]):
         raise ValueError("need x of shape (K, d) and increments of shape (M, N, d) or (K, M, N, d)")
     _, M, N, d = increments.shape
+    T = float(T)
+    inside = (0.0 <= t) & (t <= T)
+    if not inside.all():
+        raise ValueError("time %g outside [0, %g]" % (t[~inside][0], T))
+    n = np.minimum(np.floor(t * N / T).astype(np.intp), N - 1)
+    rho = (t * N / T - n)[:, None, None]
+    grid = np.arange(N + 1) * (T / N)
+    at_lo = (t == grid[n])[:, None, None]
+    at_hi = ((t == grid[n + 1]) | (t == T))[:, None, None]
     f = _as_fn(f0)
     out = np.empty((K, M))
     for s in _point_chunks(K, M, N, d):
-        k = len(x[s])
-        inc = increments[s].reshape(k * M, N, d)
-        noise = BrownianGrid(seed=None, N=N, M=k * M, d=d, T=float(T), increments=inc, diffusion=None)
-        state = euler_grid(np.repeat(x[s], M, axis=0), drift, noise)
-        out[s] = np.asarray(f(interpolate(state, np.repeat(t[s], M)))).reshape(k, M)
+        k, n_s = len(x[s]), n[s]
+        last = n_s.max() + 1
+        lo, hi = np.empty((k, M, d)), np.empty((k, M, d))
+        states = euler_states(np.repeat(x[s], M, axis=0), drift, increments[s].reshape(k * M, N, d), T)
+        for j, y in enumerate(states):
+            y = y.reshape(k, M, d)
+            lo[n_s == j] = y[n_s == j]
+            hi[n_s == j - 1] = y[n_s == j - 1]
+            if j == last:
+                break
+        y_t = np.where(at_lo[s], lo, (1.0 - rho[s]) * lo + rho[s] * hi)
+        y_t = np.where(at_hi[s], hi, y_t)
+        out[s] = np.asarray(f(y_t.reshape(k * M, d))).reshape(k, M)
     return out
 
 

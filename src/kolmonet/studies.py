@@ -97,15 +97,10 @@ def strong_interp_study(paths: int = 100_000, N: int = 8, seed: int = 101):
     fine = sde.sample_brownian(seed, 2 * N, paths, d, T, np.eye(d))
     coarse = fine.coarsen(2)
     drift = lambda y: -y
-    state = sde.euler_grid(np.full(d, 0.5), drift, coarse)
-    n = 0
-    t_mid = (n + 0.5) * h
-    y_mid = sde.interpolate(state, t_mid)
-    z_mid = (
-        state.grid_values[:, n]
-        + 0.5 * h * drift(state.grid_values[:, n])
-        + fine.increments[:, 2 * n]
-    )
+    x0 = np.full(d, 0.5)
+    # the first midpoint: the interpolated scheme against one fine Euler step from x0
+    y_mid = sde.mc_values(lambda y: y, drift, coarse.increments, T, [0.5 * h], x0[None]).reshape(paths, d)
+    z_mid = x0 + 0.5 * h * drift(x0) + fine.increments[:, 0]
     sq = ((y_mid - z_mid) ** 2).sum(axis=1)
     mean_sq = sq.mean()
     se_sq = sq.std(ddof=1) / math.sqrt(paths)
@@ -439,8 +434,8 @@ def bounds_study(seed: int = 505):
         for xv in (-1.0, 0.0, 1.5):
             x = np.array([xv])
             approx = nets.realize(psi, np.concatenate([[t], x]))
-            st = sde.euler_grid(x, tp1.problem.drift_net, noise)
-            exact = sde.interpolate(st, t)[0]
+            # path 0 of the scheme, run on both paths as the drift's batch
+            exact = sde.mc_values(lambda y: y, tp1.problem.drift_net, noise.increments, noise.T, [t], x[None])[0, :1]
             n = min(int(t * budget.N), budget.N - 1)
             g_lo, g_hi = bounds.drift_growth_envelope(
                 abs(xv), 0.0, 0.0, np.array([n, n + 1]) / budget.N, running_max[n : n + 2]

@@ -40,13 +40,11 @@ def test_grid_time_deviation_within_bound():
     psi = build.build_euler_net(drift, inc, grid, delta, growth=(0.0, 1.0))
     running_max = np.maximum.accumulate(sde.walk_norms(inc))
     for x in (-1.2, 0.0, 0.7):
-        noise = sde.BrownianGrid(
-            seed=0, N=N, M=1, d=d, T=1.0, increments=inc[None], diffusion=np.eye(d)
-        )
-        state = sde.euler_grid(np.array([x]), drift, noise)
+        # the scheme at the grid times is the grid state
+        states = sde.mc_values(lambda y: y, drift, inc[None], 1.0, grid, np.full((N + 1, d), x))
         for n in range(N + 1):
             val = nets.realize(psi, np.array([grid[n], x]))
-            want = state.grid_values[0, n]
+            want = states[n]
             m = min(n, N - 1)
             g = bounds.drift_growth_envelope(abs(x), 0.0, 1.0, grid[m : m + 2], running_max[m : m + 2])
             cap = bounds.euler_emulation_error_bound(delta, d, 3.0, g[0], g[1])
@@ -60,16 +58,12 @@ def test_random_points_deviation_within_bound():
     inc = gen.normal(scale=0.7, size=(N, d))
     grid = _grid(N)
     psi = build.build_euler_net(drift, inc, grid, delta, growth=(0.0, 1.0))
-    noise = sde.BrownianGrid(
-        seed=0, N=N, M=1, d=d, T=1.0, increments=inc[None], diffusion=np.eye(d)
-    )
     running_max = np.maximum.accumulate(sde.walk_norms(inc))
+    points = [(gen.uniform(0.0, 1.0), gen.uniform(-2.0, 2.0, size=d)) for _ in range(1000)]
+    ts, xs = np.array([t for t, _ in points]), np.array([x for _, x in points])
+    wants = sde.mc_values(lambda y: y, drift, inc[None], 1.0, ts, xs)
     worst = 0.0
-    for _ in range(1000):
-        t = gen.uniform(0.0, 1.0)
-        x = gen.uniform(-2.0, 2.0, size=d)
-        state = sde.euler_grid(x, drift, noise)
-        want = sde.interpolate(state, t)[0]
+    for t, x, want in zip(ts, xs, wants):
         got = nets.realize(psi, np.concatenate([[t], x]))
         n = min(int(t * N), N - 1)
         g = bounds.drift_growth_envelope(np.linalg.norm(x), 0.0, 1.0, grid[n : n + 2], running_max[n : n + 2])
@@ -239,13 +233,12 @@ def test_average_m1_reduces_to_composition():
     assert np.array_equal(nets.realize(sol.net, pts), nets.realize(direct, pts))
 
 
-def _direct_mc_average(tp, noise, M, ts, xs):
+def _direct_mc_average(tp, noise, ts, xs):
     """Oracle: per sampled point, average the initial net over the scheme paths."""
     out = np.empty(len(ts))
     for i in range(len(ts)):
-        state = sde.euler_grid(xs[i], tp.problem.drift_net, noise)
-        vals = nets.realize(tp.problem.init_net, sde.interpolate(state, ts[i]))
-        out[i] = vals[:M].mean()
+        vals = sde.mc_values(tp.problem.init_net, tp.problem.drift_net, noise.increments, noise.T, [ts[i]], xs[i : i + 1])
+        out[i] = vals.mean()
     return out
 
 
@@ -259,7 +252,7 @@ def test_average_deviation_within_mc_sum_bound():
     ts = gen.uniform(0, 1, 128)
     xs = gen.uniform(-1, 1, size=(128, 1))
     got = nets.realize(sol.net, np.column_stack([ts, xs])).ravel()
-    want = _direct_mc_average(tp, noise, budget.M, ts, xs)
+    want = _direct_mc_average(tp, noise, ts, xs)
     max_walk = sde.walk_norms(noise.increments).max(axis=1)
     h2, h3 = (bounds.path_growth_factor(np.abs(xs), 0.0, 0.0, 1.0, max_walk, r) for r in (2.0, 3.0))
     caps = bounds.mc_sum_error_bound(budget.delta, 1, 0.0, 1.0, budget.M, h2, h3)

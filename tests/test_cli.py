@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kolmonet
-from kolmonet import build, cli
+from kolmonet import bounds, build, cli, nets, problems, sde
 
 
 def run(argv):
@@ -260,6 +260,47 @@ def test_verify_mistyped_provenance_exit_two(tmp_path, capsys, field, value, mes
     assert run(["verify", "--in", str(out), "--problem", "ou_linear", "--d", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("N", 10**11, "provenance N=100000000000, M=2, d=1 need at least 200000000000 parameters"),
+        ("M", 10**11, "provenance N=2, M=100000000000, d=1 need at least 200000000000 parameters"),
+        ("N", 0, "provenance N and M must be positive, got N=0, M=2"),
+        ("M", -1, "provenance N and M must be positive, got N=2, M=-1"),
+    ],
+    ids=["N-huge", "M-huge", "N-zero", "M-negative"],
+)
+def test_verify_provenance_sizes_beyond_the_network_exit_two_before_sampling(tmp_path, capsys, monkeypatch, field, value, message):
+    # a tampered N or M would size the Brownian draw: 10^11 x 2 increments raised a memory error
+    out = tmp_path / "ou.json"
+    args = ["build", "--problem", "ou_linear", "--d", "1", "--N", "2", "--M", "2", "--delta", "0.0625", "--seed", "2026"]
+    assert run(args + ["--out", str(out)]) == 0
+    solution = build.load_solution(str(out))
+    solution.provenance[field] = value
+    build.save_solution(solution, str(out))
+    capsys.readouterr()
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("verify sampled before checking the provenance sizes")
+
+    monkeypatch.setattr(sde, "sample_brownian", no_draw)
+    assert run(["verify", "--in", str(out), "--problem", "ou_linear", "--d", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("name", ["heat_relu", "ou_linear", "quadratic_heat"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_built_networks_have_at_least_n_m_d_parameters(name, d):
+    # the size check of verify: every step of every member carries d product blocks
+    tp = problems.get_problem(name, d)
+    B = sde.sqrtm_psd(2.0 * tp.problem.A)
+    for N, M in [(1, 1), (3, 2), (2, 3)]:
+        noise = sde.sample_brownian(1, N, M, d, tp.problem.T, B)
+        sol = build.build_mc_average_net(tp.problem, bounds.Budget(N=N, M=M, delta=0.25), noise)
+        assert nets.param_count(sol.net) >= 1000 * N * M * d
 
 
 @pytest.mark.parametrize("flag, value", [("--kappa", "nan"), ("--eta", "nan"), ("--p", "nan"), ("--T", "inf"), ("--kappa", "inf")])

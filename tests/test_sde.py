@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,9 +133,6 @@ def test_padded_increments_give_the_bits_of_contiguous_ones(monkeypatch, N, d):
     x = np.linspace(-1.0, 1.0, 6 * d).reshape(6, d)
     for a, b in zip(sde.euler_states(x, pb.drift_net, padded, pb.T), sde.euler_states(x, pb.drift_net, dense, pb.T)):
         assert np.array_equal(a, b)
-    assert np.array_equal(
-        sde.euler_grid(x, pb.drift_net, noise).grid_values, sde.euler_grid(x, pb.drift_net, dense_noise).grid_values
-    )
     ts = np.array([0.0, 0.3 * pb.T, pb.T])
     xs = np.linspace(-0.5, 0.5, 3 * d).reshape(3, d)
     want = sde.mc_values(pb.init_net, pb.drift_net, dense, pb.T, ts, xs)
@@ -285,10 +283,15 @@ def test_kolmonet_threads_must_be_a_positive_integer(monkeypatch, value):
         sde._workers()
 
 
+def _states(x, drift, increments, T):
+    # all states of the Euler recursion, shape (M, N+1, d)
+    return np.stack(list(sde.euler_states(x, drift, increments, T)), axis=1)
+
+
 def test_euler_zero_drift_partial_sums():
     grid = sde.sample_brownian(3, 6, 20, 2, 2.0)
-    state = sde.euler_grid(np.zeros(2), None, grid)
-    assert np.array_equal(state.grid_values[:, 1:], np.cumsum(grid.increments, axis=1))
+    states = _states(np.zeros(2), None, grid.increments, grid.T)
+    assert np.array_equal(states[:, 1:], np.cumsum(grid.increments, axis=1))
 
 
 def _stored_euler_grid(x, drift, increments, T):
@@ -302,6 +305,25 @@ def _stored_euler_grid(x, drift, increments, T):
     return y
 
 
+def _interpolated(y, T, t):
+    # independent reference: Y_t read off a stored grid y of shape (M, N+1, d), one time per path
+    # or one for all; grid times, and t = T, give the stored value bitwise
+    M, N = len(y), y.shape[1] - 1
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (M,))
+    n = np.minimum(np.floor(t * N / T).astype(np.intp), N - 1)
+    lo, hi = y[np.arange(M), n], y[np.arange(M), n + 1]
+    rho = (t * N / T - n)[:, None]
+    grid = np.arange(N + 1) * (T / N)
+    out = np.where((t == grid[n])[:, None], lo, (1.0 - rho) * lo + rho * hi)
+    return np.where(((t == grid[n + 1]) | (t == T))[:, None], hi, out)
+
+
+def _values(drift, increments, T, ts, xs):
+    # Y_t of every point and path through mc_values, shape (K, M, d): one call per coordinate
+    d = increments.shape[-1]
+    return np.stack([sde.mc_values(lambda y, i=i: y[:, i], drift, increments, T, ts, xs) for i in range(d)], axis=-1)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("network", [False, True])
 def test_euler_states_equal_euler_grid_values(d, network):
@@ -309,14 +331,13 @@ def test_euler_states_equal_euler_grid_values(d, network):
     drift = pb.drift_net if network else (lambda y: -y + 0.25 * y**2)
     noise = sde.sample_brownian(12, 9, 40, d, pb.T, sde.sqrtm_psd(2.0 * pb.A))
     x = np.linspace(-1.0, 1.0, 40 * d).reshape(40, d)
-    grid = sde.euler_grid(x, drift, noise).grid_values
-    assert np.array_equal(grid, _stored_euler_grid(x, drift, noise.increments, pb.T))
+    grid = _stored_euler_grid(x, drift, noise.increments, pb.T)
     states = list(sde.euler_states(x, drift, noise.increments, pb.T))
     assert len(states) == 10 and all(y.shape == (40, d) for y in states)
     # every state is its own array: keeping some of them equals reading them off the grid
     assert np.array_equal(np.stack(states, axis=1), grid)
     *_, last = sde.euler_states(x[0], drift, noise.increments, pb.T)
-    assert np.array_equal(last, sde.euler_grid(x[0], drift, noise).grid_values[:, -1])
+    assert np.array_equal(last, _stored_euler_grid(x[0], drift, noise.increments, pb.T)[:, -1])
 
 
 def test_walk_norms_are_the_norms_of_the_partial_sums():
@@ -334,90 +355,91 @@ def test_walk_norms_are_the_norms_of_the_partial_sums():
 
 
 def test_euler_single_explicit_step():
-    grid = sde.BrownianGrid(
-        seed=0, N=1, M=1, d=1, T=1.0, increments=np.zeros((1, 1, 1)), diffusion=np.eye(1)
-    )
-    state = sde.euler_grid(np.array([1.0]), lambda y: -y, grid)
-    assert state.grid_values[0, 1, 0] == 0.0
+    *_, last = sde.euler_states(np.array([1.0]), lambda y: -y, np.zeros((1, 1, 1)), 1.0)
+    assert last[0, 0] == 0.0
 
 
 def test_euler_constant_drift_closed_form():
     c = 0.75
     grid = sde.sample_brownian(9, 8, 50, 1, 1.0)
-    state = sde.euler_grid(np.array([0.3]), lambda y: np.full_like(y, c), grid)
+    *_, last = sde.euler_states(np.array([0.3]), lambda y: np.full_like(y, c), grid.increments, grid.T)
     w_T = grid.increments.sum(axis=1)
     want = 0.3 + c * 1.0 + w_T[:, 0]
-    assert np.abs(state.grid_values[:, -1, 0] - want).max() <= 1e-12
+    assert np.abs(last[:, 0] - want).max() <= 1e-12
 
 
 def test_interpolate_grid_points_bitwise():
     for N, T in [(5, 1.0), (7, 0.49)]:  # 7 (0.49 / 7) != 0.49, and 0.49 * 7 / 0.49 != 7
         grid = sde.sample_brownian(4, N, 30, 2, T)
-        state = sde.euler_grid(np.ones(2), lambda y: -0.5 * y, grid)
+        drift = lambda y: -0.5 * y
+        states = _states(np.ones(2), drift, grid.increments, T)
+        got = _values(drift, grid.increments, T, np.append(grid.grid, T), np.ones((N + 2, 2)))
         for n in range(N + 1):
-            assert np.array_equal(sde.interpolate(state, grid.grid[n]), state.grid_values[:, n])
-        assert np.array_equal(sde.interpolate(state, T), state.grid_values[:, N])
+            assert np.array_equal(got[n], states[:, n])
+        assert np.array_equal(got[N + 1], states[:, N])
 
 
 def test_interpolate_midpoint_mean():
     grid = sde.sample_brownian(6, 4, 10, 1, 1.0)
-    state = sde.euler_grid(np.zeros(1), None, grid)
+    states = _states(np.zeros(1), None, grid.increments, grid.T)
     t = (grid.grid[1] + grid.grid[2]) / 2
-    want = 0.5 * (state.grid_values[:, 1] + state.grid_values[:, 2])
-    assert np.allclose(sde.interpolate(state, t), want, rtol=0, atol=1e-15)
+    want = 0.5 * (states[:, 1] + states[:, 2])
+    assert np.allclose(_values(None, grid.increments, 1.0, [t], np.zeros((1, 1)))[0], want, rtol=0, atol=1e-15)
 
 
 def test_interpolate_norm_convexity():
     grid = sde.sample_brownian(8, 4, 200, 3, 1.0)
-    state = sde.euler_grid(np.full(3, 0.2), lambda y: -y, grid)
-    gen = np.random.default_rng(0)
-    for t in gen.uniform(0.0, 1.0, size=25):
+    states = _states(np.full(3, 0.2), lambda y: -y, grid.increments, grid.T)
+    ts = np.random.default_rng(0).uniform(0.0, 1.0, size=25)
+    got = _values(lambda y: -y, grid.increments, 1.0, ts, np.full((25, 3), 0.2))
+    for t, y_t in zip(ts, got):
         n = min(int(t * 4), 3)
-        v = np.linalg.norm(sde.interpolate(state, t), axis=1)
-        cap = np.maximum(
-            np.linalg.norm(state.grid_values[:, n], axis=1),
-            np.linalg.norm(state.grid_values[:, n + 1], axis=1),
-        )
+        v = np.linalg.norm(y_t, axis=1)
+        cap = np.maximum(np.linalg.norm(states[:, n], axis=1), np.linalg.norm(states[:, n + 1], axis=1))
         assert np.all(v <= cap * (1 + 1e-12))
 
 
 def test_interpolate_rejects_outside_horizon():
-    grid = sde.sample_brownian(1, 2, 1, 1, 1.0)
-    state = sde.euler_grid(np.zeros(1), None, grid)
-    with pytest.raises(ValueError):
-        sde.interpolate(state, 1.5)
+    # the message names the first time outside [0, T], NaN included
+    inc = sde.sample_brownian(1, 2, 1, 1, 1.0).increments
+    for ts, first in [([1.5], "1.5"), ([0.5, -0.25, 2.0], "-0.25"), ([0.3, np.nan], "nan")]:
+        with pytest.raises(ValueError, match=r"^time %s outside \[0, 1\]$" % first):
+            sde.mc_values(None, None, inc, 1.0, ts, np.zeros((len(ts), 1)))
 
 
 def test_interpolate_per_path_times_match_scalar_calls():
+    # per-point times in one call give each point's value alone, and the stored grid's
     grid = sde.sample_brownian(4, 5, 30, 2, 1.0)
-    state = sde.euler_grid(np.ones(2), lambda y: -0.5 * y, grid)
+    drift = lambda y: -0.5 * y
     ts = np.random.default_rng(1).uniform(0.0, 1.0, 30)
     ts[:7] = np.append(grid.grid, 1.0)
-    got = sde.interpolate(state, ts)
-    for m, t in enumerate(ts):
-        assert np.array_equal(got[m], sde.interpolate(state, t)[m])
-    with pytest.raises(ValueError):
-        sde.interpolate(state, np.append(ts[:-1], np.nan))
+    xs = np.ones((30, 2))
+    got = _values(drift, grid.increments, 1.0, ts, xs)
+    stored = _stored_euler_grid(np.ones(2), drift, grid.increments, 1.0)
+    for i, t in enumerate(ts):
+        assert np.array_equal(got[i], _values(drift, grid.increments, 1.0, ts[i : i + 1], xs[i : i + 1])[0])
+        assert np.array_equal(got[i], _interpolated(stored, 1.0, t))
+    # the oracle's per-path times: path m read at ts[m]
+    per_path = _interpolated(stored, 1.0, ts)
+    assert np.array_equal(per_path, got[np.arange(30), np.arange(30)])
 
 
 def test_euler_grid_per_path_start_values():
     grid = sde.sample_brownian(2, 4, 6, 2, 1.0)
     xs = np.arange(12.0).reshape(6, 2) / 7
-    state = sde.euler_grid(xs, lambda y: -y, grid)
+    states = _states(xs, lambda y: -y, grid.increments, grid.T)
     for m in range(6):
-        assert np.array_equal(state.grid_values[m], sde.euler_grid(xs[m], lambda y: -y, grid).grid_values[m])
+        assert np.array_equal(states[m], _states(xs[m], lambda y: -y, grid.increments, grid.T)[m])
     with pytest.raises(ValueError):
-        sde.euler_grid(xs[:5], None, grid)
+        next(sde.euler_states(xs[:5], None, grid.increments, grid.T))
 
 
 def _per_point_values(f0, drift, increments, T, ts, xs):
-    # the reference: one euler_grid and one interpolate per point, on that point's paths
+    # the reference: one stored grid and one interpolation per point, on that point's paths
     out = []
     for i, (t, x) in enumerate(zip(ts, xs)):
         inc = increments if increments.ndim == 3 else increments[i]
-        M, N, d = inc.shape
-        noise = sde.BrownianGrid(seed=None, N=N, M=M, d=d, T=T, increments=inc, diffusion=None)
-        out.append(np.asarray(f0(sde.interpolate(sde.euler_grid(x, drift, noise), t))).ravel())
+        out.append(np.asarray(f0(_interpolated(_stored_euler_grid(x, drift, inc, T), T, t))).ravel())
     return np.array(out)
 
 
@@ -439,6 +461,19 @@ def test_mc_values_bitwise_equal_to_per_point_loop(monkeypatch, name, d, N, M, p
     assert got.shape == (40, M)
     assert np.array_equal(got, want)
     assert np.array_equal(got.mean(1), np.array([w.mean() for w in want]))
+
+
+def test_mc_values_keeps_two_states_per_path():
+    # one point, 2,048 paths of 512 steps: the whole grid of states would be 8.4 MB
+    inc = sde.sample_brownian(3, 512, 2048, 1, 1.0).increments
+    tracemalloc.start()
+    try:
+        got = sde.mc_values(lambda y: y, None, inc, 1.0, [0.7], np.zeros((1, 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert np.array_equal(got, _per_point_values(lambda y: y, None, inc, 1.0, [0.7], np.zeros((1, 1))))
 
 
 def test_mc_values_rejects_mismatched_shapes():

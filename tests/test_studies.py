@@ -145,8 +145,8 @@ def test_study_euler_passes_a_seed_beyond_three_standard_errors(capsys):
     assert out.rstrip().endswith("status pass")
 
 
-def _interpolate_at_half_time(interpolate):
-    return lambda state, t: interpolate(state, t / 2)
+def _mc_values_at_half_time(mc_values):
+    return lambda f0, drift, inc, T, t, x: mc_values(f0, drift, inc, T, np.asarray(t) / 2, x)
 
 
 def _scaled_increments(sample_brownian):
@@ -159,7 +159,7 @@ def _scaled_increments(sample_brownian):
 
 @pytest.mark.parametrize(
     "name, wrong",
-    [("interpolate", _interpolate_at_half_time), ("sample_brownian", _scaled_increments)],
+    [("mc_values", _mc_values_at_half_time), ("sample_brownian", _scaled_increments)],
 )
 @pytest.mark.parametrize("seed", [5, 1114088975])
 def test_strong_interp_gate_fails_a_wrong_scheme(monkeypatch, name, wrong, seed):
@@ -173,7 +173,7 @@ def test_strong_interp_gate_fails_a_wrong_scheme(monkeypatch, name, wrong, seed)
 def test_run_convergence_reports_the_strong_gate(tmp_path, monkeypatch, capsys, wrong, line):
     # the script's last line names the gate strong_interp_study applies
     if wrong:
-        monkeypatch.setattr(sde, "interpolate", _interpolate_at_half_time(sde.interpolate))
+        monkeypatch.setattr(sde, "mc_values", _mc_values_at_half_time(sde.mc_values))
     monkeypatch.setattr(sys, "argv", [str(_CONVERGENCE), "--outdir", str(tmp_path), "--paths", "200", "--seed", "4"])
     with pytest.raises(SystemExit) as exit_:
         runpy.run_path(str(_CONVERGENCE), run_name="__main__")
