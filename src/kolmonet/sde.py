@@ -41,7 +41,10 @@ Contiguous power-of-two rows of 4 KiB or more would put the column that
 the Euler recursion reads each step (``increments[:, n]``) into the same
 few cache sets for every path; the padded stride is an odd number of
 lines.  Shorter rows stay contiguous.  Shapes, values and ``tobytes()``
-are those of the contiguous array.
+are those of the contiguous array.  ``_path_rows`` lays the rows out, in a
+fresh array or in the leading values of a caller's flat buffer, and
+``sample_brownian(out=)`` fills any writable (M, N, d) array: a study
+that draws its paths in chunks allocates one buffer for all of them.
 """
 
 from __future__ import annotations
@@ -97,46 +100,11 @@ def _stream(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, tag, index)))
 
 
-def _normals(gen: np.random.Generator, shape) -> np.ndarray:
-    """Normals of ``Generator.integers(0, 2**53)`` through the midpoint uniform.
-
-    The tests' oracle, whose bits the sampler reproduces.
-    """
-    return ndtri((gen.integers(0, 2**53, size=shape).astype(np.float64) + 0.5) * _U53)
-
-
-def _mulhilo(a: np.uint64, b: np.ndarray):
-    """High and low 64-bit halves of the 128-bit products a * b, via 32-bit limbs."""
-    a_lo, a_hi = a & _LO32, a >> np.uint64(32)
-    b_lo, b_hi = b & _LO32, b >> 32
-    ll = a_lo * b_lo
-    lh = a_lo * b_hi
-    hl = a_hi * b_lo
-    mid = (ll >> 32) + (lh & _LO32) + (hl & _LO32)
-    return a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), a * b
-
-
-def _philox_words(seed: int, key1: np.ndarray, blocks: int) -> np.ndarray:
-    """Words of blocks 1..``blocks`` of the streams keyed (seed, key1[i]): shape (rows, 4 * blocks).
-
-    The tests' oracle for ``_philox_lanes``, which computes the same words in place.
-    """
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64) + np.zeros_like(key1)
-    c1 = c2 = c3 = np.zeros_like(c0)
-    k0, k1 = seed & _MASK64, key1
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-        # one round, as numpy's Philox: two 64x64->128 products, then the lane shuffle
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(key1), 4 * blocks)
-
-
 def _mulhi_into(a: np.uint64, b: np.ndarray, hi, blo, bhi, mid, lh):
-    """hi = the high half of a * b: the sums of ``_mulhilo``, in place (mod 2^64, so in any order)."""
+    """hi = the high half of the 128-bit products a * b, from 32-bit limbs, in place.
+
+    The sums are mod 2^64, so in any order.
+    """
     a_lo, a_hi = a & _LO32, a >> np.uint64(32)
     np.bitwise_and(b, _LO32, out=blo)
     np.right_shift(b, 32, out=bhi)
@@ -155,12 +123,13 @@ def _mulhi_into(a: np.uint64, b: np.ndarray, hi, blo, bhi, mid, lh):
 
 
 def _philox_lanes(seed: int, key1: np.ndarray, blocks: int, work: np.ndarray):
-    """The four lanes of ``_philox_words(seed, key1, blocks)``, each (rows, blocks), computed in place.
+    """The four lanes of the words of blocks 1..``blocks`` of the streams keyed (seed, key1[i]),
+    each (rows, blocks), computed in place.
 
     ``work`` is an (11, n) uint64 array with n >= rows * blocks; the lanes are
-    views of it.  Every round is ``_mulhilo`` and the lane shuffle of
-    ``_philox_words`` through ``out=`` ufuncs, so no array of the lanes' size
-    is allocated.
+    views of it.  Every round is numpy's Philox round, two 64x64->128
+    products and the lane shuffle, through ``out=`` ufuncs, so no array of
+    the lanes' size is allocated.
     """
     rows = len(key1)
     c0, c1, c2, c3, h0, h1, blo, bhi, mid, lh = (w[: rows * blocks].reshape(rows, blocks) for w in work[:10])
@@ -194,8 +163,8 @@ def _normals_into(z: np.ndarray, seed: int, tag: int, index: np.ndarray, scratch
     nothing else of size n is allocated.  Streams of at least 512 words
     fill each row with ``Generator.random``, which is (word >> 11) 2^-53;
     shorter ones run ``_philox_lanes`` and shift and scale their words.
-    Adding 2^-54 then gives the midpoint uniform of ``_normals`` with its
-    one rounding, and ``ndtri`` runs in place.
+    Adding 2^-54 then gives the midpoint uniform ((word >> 11) + 0.5) 2^-53
+    with its one rounding, and ``ndtri`` runs in place.
     """
     rows, n = z.shape
     if rows and index.max() >= _PATH_LIMIT:
@@ -234,15 +203,6 @@ def _scratch(seed: int, tag: int, n: int, rows: int):
     return np.empty((11, max(1, min(rows, _CHUNK_BLOCKS // blocks)) * blocks), dtype=np.uint64)
 
 
-def _philox_normals(seed: int, tag: int, index, n: int) -> np.ndarray:
-    """First n normals of the streams keyed (seed, tag << 48 | index[i]), shape (len(index), n).
-
-    Row i equals ``_normals(_stream(seed, tag, index[i]), n)`` bitwise.
-    """
-    index = np.asarray(index, dtype=np.uint64).reshape(-1)
-    return _normals_into(np.empty((len(index), n)), seed, tag, index, _scratch(seed, tag, n, len(index)))
-
-
 def _workers() -> int:
     """Sampler threads: one per CPU this process may run on, capped by KOLMONET_THREADS."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -271,7 +231,8 @@ def _fill_increments(out: np.ndarray, seed: int, tag: int, index: np.ndarray, B:
     chunks of max(1, 4 * _CHUNK_BLOCKS // n), on the pool of ``_workers()``
     threads when there is more than one chunk (see the module docstring).
     The threads call only private functions, and write into buffers this
-    thread allocates.  Returns ``out``.
+    thread allocates.  A 1 x 1 matrix B scales elementwise instead of the
+    matmul, with the same bits.  Returns ``out``.
     """
     count, d, k = len(out), out.shape[-1], B.shape[1]
     inner = out.shape[1:-1]
@@ -289,7 +250,13 @@ def _fill_increments(out: np.ndarray, seed: int, tag: int, index: np.ndarray, B:
             hi = min(lo + rows, count)
             z, prod = z[: hi - lo], prod[: hi - lo]
             _normals_into(z, seed, tag, index[lo:hi], scratch)
-            np.matmul(z.reshape(hi - lo, *inner, k), B.T, out=prod)
+            z = z.reshape(hi - lo, *inner, k)
+            if B.shape == (1, 1):
+                # the matmul's bits without its overhead: its sum starts at +0.0, so -0.0 becomes +0.0
+                np.multiply(z, B[0, 0], out=prod)
+                prod += 0.0
+            else:
+                np.matmul(z, B.T, out=prod)
             np.multiply(prod, scale, out=out[lo:hi])
         finally:
             buffers.put(buf)
@@ -382,15 +349,39 @@ class BrownianGrid:
         return replace(self, N=self.N // factor, increments=inc)
 
 
-def sample_brownian(seed: int, N: int, M: int, d: int, T: float, B=None, *, first: int = 0) -> BrownianGrid:
+def _row_values(N: int, d: int) -> int:
+    """Values between the starts of two stored paths of N d increments: N d, plus one
+    64-byte line (8 values) from 512 values on (see the module docstring)."""
+    return N * d + (_ROW_PAD if N * d >= _PADDED_ROW_VALUES else 0)
+
+
+def _path_rows(M: int, N: int, d: int, buffer=None) -> np.ndarray:
+    """An (M, N, d) array of M paths, laid out as ``sample_brownian`` stores them.
+
+    Row m starts at value m * _row_values(N, d).  With ``buffer``, a flat
+    float64 array of at least M * _row_values(N, d) values, the array is a
+    view of its leading values; otherwise it is fresh.
+    """
+    stride = _row_values(N, d)
+    if buffer is None:
+        buffer = np.empty(M * stride)
+    return buffer[: M * stride].reshape(M, stride)[:, : N * d].reshape(M, N, d)
+
+
+def sample_brownian(
+    seed: int, N: int, M: int, d: int, T: float, B=None, *, first: int = 0, out=None
+) -> BrownianGrid:
     """Sample Brownian increments for paths [first, first + M) of an N-step grid on [0, T].
 
     ``B`` is the d x k diffusion matrix (identity by default); the stored
     increments are B(W_{tau_{n+1}} - W_{tau_n}) with W a standard k-dim
     Brownian motion, i.e. centered Gaussians with covariance (T/N) B B^*.
     Row i is path first + i of every draw that contains it, bitwise; path
-    indices must stay below 2^48 (ValueError).  Paths of at least 512 values are rows of a buffer padded by one cache
-    line (see the module docstring); the array is read-only either way.
+    indices must stay below 2^48 (ValueError).  The draw fills ``out``, a
+    writable float64 (M, N, d) array of any strides (ValueError otherwise,
+    before anything is drawn), or else a fresh ``_path_rows(M, N, d)``, whose
+    paths of at least 512 values are rows padded by one cache line (see the
+    module docstring).  The grid holds a read-only view of the filled array.
     """
     if min(N, M, d) < 1 or T <= 0 or first < 0:
         raise ValueError("need N, M, d >= 1, T > 0 and first >= 0")
@@ -399,12 +390,15 @@ def sample_brownian(seed: int, N: int, M: int, d: int, T: float, B=None, *, firs
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if B.shape[0] != d:
         raise ValueError("diffusion matrix must have %d rows" % d)
-    scale = np.sqrt(T / N)
-    if N * d >= _PADDED_ROW_VALUES:
-        increments = np.empty((M, N * d + _ROW_PAD))[:, : N * d].reshape(M, N, d)
-    else:
-        increments = np.empty((M, N, d))
-    _fill_increments(increments, seed, _TAG_INCREMENTS, np.arange(first, first + M, dtype=np.uint64), B, scale)
+    if out is None:
+        out = _path_rows(M, N, d)
+    elif not (
+        isinstance(out, np.ndarray) and out.shape == (M, N, d) and out.dtype == np.float64 and out.flags.writeable
+    ):
+        raise ValueError("out must be a writable float64 array of shape (%d, %d, %d)" % (M, N, d))
+    index = np.arange(first, first + M, dtype=np.uint64)
+    _fill_increments(out, seed, _TAG_INCREMENTS, index, B, np.sqrt(T / N))
+    increments = out.view()
     increments.flags.writeable = False
     return BrownianGrid(seed=seed, N=N, M=M, d=d, T=float(T), increments=increments, diffusion=B)
 
@@ -419,7 +413,9 @@ def walk_norms(increments) -> np.ndarray:
     *lead, N, d = increments.shape
     walk = np.zeros((*lead, N + 1, d))
     np.cumsum(increments, axis=-2, out=walk[..., 1:, :])
-    return np.linalg.norm(walk, axis=-1)
+    # np.linalg.norm(walk, axis=-1)'s operations on real input, squaring in place
+    np.multiply(walk, walk, out=walk)
+    return np.sqrt(np.add.reduce(walk, axis=-1))
 
 
 def _as_fn(fn):

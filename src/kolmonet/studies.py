@@ -180,7 +180,8 @@ def weak_error_study(
     The signed estimate must lie within 4 SE of its exact mean too.  Paths
     run in chunks of at most ``sde._MC_CHUNK_ELEMENTS`` fine increments, one
     chunk alive at a time, and only the terminal states are kept; chunking
-    cannot change a bit.
+    cannot change a bit.  Every chunk of every grid is drawn into a view of
+    one flat buffer, sized for the largest chunk.
     """
     tp = problems.ou_linear_problem(1)
     pb = tp.problem
@@ -188,17 +189,19 @@ def weak_error_study(
     x0 = np.full(d, 0.7)
     B = sde.sqrtm_psd(2.0 * pb.A)
     trace = float(np.trace(B.T @ B))
+    steps = [max(1, sde._MC_CHUNK_ELEMENTS // (refine * N * d)) for N in Ns]
+    buffer = np.empty(max(min(step, paths) * sde._row_values(refine * N, d) for N, step in zip(Ns, steps)))
     rows = []
     estimates = []
     ok = True
-    for j, N in enumerate(Ns):
+    for j, (N, step) in enumerate(zip(Ns, steps)):
         nf = refine * N
-        step = max(1, sde._MC_CHUNK_ELEMENTS // (nf * d))
         diff = np.empty(paths)
         for lo in range(0, paths, step):
-            # only the helper's frame holds the chunk, so it is freed before the next draw
+            # only the helper's frame holds the chunk's grid, so it is gone before the next draw
+            m = min(step, paths - lo)
             diff[lo : lo + step] = _weak_chunk_diff(
-                sde.sample_brownian(seed + j, nf, min(step, paths - lo), d, pb.T, B, first=lo),
+                sde.sample_brownian(seed + j, nf, m, d, pb.T, B, first=lo, out=sde._path_rows(m, nf, d, buffer)),
                 x0, refine, drift_shift,
             )
         est = float(diff.mean())
@@ -247,24 +250,23 @@ def _mc_euler_functional_errors(tp, N, M, K, seed):
     how the points are chunked.  Points run in the chunks of ``sde.mc_values``,
     one chunk alive at a time, and each chunk's paths are drawn by the
     sampler's threads, one point's stream per task when a stream holds at
-    least 4 * ``sde._CHUNK_BLOCKS`` normals.
+    least 4 * ``sde._CHUNK_BLOCKS`` normals.  Every chunk fills a leading
+    slice of one (points per chunk, M, N, d) buffer.
     """
     pb = tp.problem
     B = sde.sqrtm_psd(2.0 * pb.A)
     ts, xs = tp.measure.sample(K, seed)
     u_vals = tp.exact_solution(ts, xs)
     sq_errors = np.empty(K)
-    for s in sde._point_chunks(K, M, N, pb.d):
-        vals = _mc_chunk_values(pb, B, N, M, seed, np.arange(K, dtype=np.uint64)[s], ts[s], xs[s])
+    chunks = sde._point_chunks(K, M, N, pb.d)
+    buffer = np.empty((chunks[0].stop, M, N, pb.d))
+    index = np.arange(K, dtype=np.uint64)
+    for s in chunks:
+        inc = buffer[: s.stop - s.start]
+        sde._fill_increments(inc, seed, sde._TAG_POINT_PATHS, index[s], B, math.sqrt(pb.T / N))
+        vals = sde.mc_values(pb.init_net, pb.drift_net, inc, pb.T, ts[s], xs[s]).mean(axis=1)
         sq_errors[s] = (vals - u_vals[s]) ** 2
     return sq_errors
-
-
-def _mc_chunk_values(pb, B, N, M, seed, index, ts, xs):
-    """MC Euler averages at the points ``index``, from their own paths."""
-    inc = np.empty((len(index), M, N, pb.d))
-    sde._fill_increments(inc, seed, sde._TAG_POINT_PATHS, index, B, math.sqrt(pb.T / N))
-    return sde.mc_values(pb.init_net, pb.drift_net, inc, pb.T, ts, xs).mean(axis=1)
 
 
 def mc_lp_study(budgets=((16, 16), (256, 256)), K: int = 4096, seed: int = 404, d: int = 1):

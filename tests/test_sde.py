@@ -7,9 +7,51 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from kolmonet import bounds, build, nets, problems, sde
+
+
+# The sampler's oracles: the allocating computations whose bits the in-place sampler reproduces.
+
+
+def _normals(gen, shape):
+    """Normals of ``Generator.integers(0, 2**53)`` through the midpoint uniform."""
+    return ndtri((gen.integers(0, 2**53, size=shape).astype(np.float64) + 0.5) * sde._U53)
+
+
+def _mulhilo(a, b):
+    """High and low 64-bit halves of the 128-bit products a * b, via 32-bit limbs."""
+    a_lo, a_hi = a & sde._LO32, a >> np.uint64(32)
+    b_lo, b_hi = b & sde._LO32, b >> 32
+    ll = a_lo * b_lo
+    lh = a_lo * b_hi
+    hl = a_hi * b_lo
+    mid = (ll >> 32) + (lh & sde._LO32) + (hl & sde._LO32)
+    return a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), a * b
+
+
+def _philox_words(seed, key1, blocks):
+    """Words of blocks 1..``blocks`` of the streams keyed (seed, key1[i]): shape (rows, 4 * blocks)."""
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64) + np.zeros_like(key1)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = seed & sde._MASK64, key1
+    for r in range(sde._PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + sde._PHILOX_W[0]) & sde._MASK64
+            k1 = k1 + np.uint64(sde._PHILOX_W[1])
+        # one round, as numpy's Philox: two 64x64->128 products, then the lane shuffle
+        hi0, lo0 = _mulhilo(sde._PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(sde._PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(key1), 4 * blocks)
+
+
+def _philox_normals(seed, tag, index, n):
+    """First n normals of the streams keyed (seed, tag << 48 | index[i]), shape (len(index), n),
+    through the sampler's in-place path; row i must equal ``_normals(sde._stream(seed, tag, index[i]), n)``."""
+    index = np.asarray(index, dtype=np.uint64).reshape(-1)
+    return sde._normals_into(np.empty((len(index), n)), seed, tag, index, sde._scratch(seed, tag, n, len(index)))
 
 
 def test_increments_centered():
@@ -44,7 +86,7 @@ def _per_path_increments(seed, N, M, T, B):
     # the per-path C generator, one stream per path: the reference for the vectorized sampler
     k = B.shape[1]
     return np.stack(
-        [math.sqrt(T / N) * (sde._normals(sde._stream(seed, 1, m), (N, k)) @ B.T) for m in range(M)]
+        [math.sqrt(T / N) * (_normals(sde._stream(seed, 1, m), (N, k)) @ B.T) for m in range(M)]
     )
 
 
@@ -93,13 +135,13 @@ def test_sample_brownian_rejects_a_negative_first_path():
 def test_path_indices_stop_below_the_purpose_tag():
     # the key is tag << 48 | m, so path 2^48 would draw path 0 of the next tag
     last = sde.sample_brownian(0, 4, 1, 1, 1.0, first=2**48 - 1).increments
-    assert np.array_equal(last, 0.5 * sde._normals(sde._stream(0, 1, 2**48 - 1), (1, 4, 1)))
+    assert np.array_equal(last, 0.5 * _normals(sde._stream(0, 1, 2**48 - 1), (1, 4, 1)))
     for first, M in ((2**48 - 1, 2), (2**48, 1)):
         with pytest.raises(ValueError, match="2\\^48"):
             sde.sample_brownian(0, 4, M, 1, 1.0, first=first)
     for n in (4, 512):
         with pytest.raises(ValueError, match="2\\^48"):
-            sde._philox_normals(0, 1, [3, 2**48], n)
+            _philox_normals(0, 1, [3, 2**48], n)
 
 
 PADDED = [(512, 1), (171, 3), (4096, 1), (1366, 3)]  # N*d = 512, 513, 4096, 4098
@@ -115,6 +157,85 @@ def test_long_paths_have_a_padded_row_stride(N, d):
     else:
         assert inc.flags.c_contiguous
     assert inc.tobytes() == np.ascontiguousarray(inc).tobytes()
+
+
+@pytest.mark.parametrize("N, d", PADDED + [(511, 1), (16, 2)])
+def test_path_rows_in_a_buffer_are_views_laid_out_as_fresh_ones(N, d):
+    fresh = sde._path_rows(5, N, d)
+    buffer = np.empty(5 * sde._row_values(N, d) + 3)
+    view = sde._path_rows(5, N, d, buffer)
+    assert view.shape == fresh.shape == (5, N, d) and view.strides == fresh.strides
+    assert view.base is buffer and np.shares_memory(view, buffer[: 5 * sde._row_values(N, d)])
+    assert not np.shares_memory(view, buffer[5 * sde._row_values(N, d) :])
+
+
+def _rows_of(buffer, M, N, d, padded):
+    # an (M, N, d) view of the leading values of buffer, rows padded by 8 values or contiguous
+    stride = N * d + (8 if padded else 0)
+    return buffer[: M * stride].reshape(M, stride)[:, : N * d].reshape(M, N, d)
+
+
+@pytest.mark.parametrize(
+    "N, B",
+    [
+        (7, np.array([[1.3]])),  # 7 normals per path: the vectorized streams
+        (600, np.array([[-1.3]])),  # 600: the per-path generator
+        (5, np.arange(9.0).reshape(3, 3) / 4 - 1),  # d = 3, 15 normals
+        (200, np.array([[1.0], [-0.5], [2.0]])),  # d = 3, k = 1, 200 normals, 600 values
+    ],
+)
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("first", [0, 5])
+def test_sample_brownian_into_out_gives_the_allocating_bits(monkeypatch, N, B, padded, first):
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 16)  # several sampler chunks of the 9 paths
+    M, d = 9, B.shape[0]
+    want = sde.sample_brownian(4, N, M, d, 0.8, B, first=first)
+    buffer = np.full(M * (N * d + 8) + 3, np.nan)
+    out = _rows_of(buffer, M, N, d, padded)
+    got = sde.sample_brownian(4, N, M, d, 0.8, B, first=first, out=out)
+    assert got.increments.tobytes() == want.increments.tobytes()
+    assert np.shares_memory(got.increments, out) and not got.increments.flags.writeable and out.flags.writeable
+    # nothing outside out is written
+    out[...] = np.nan
+    assert np.isnan(buffer).all()
+
+
+def test_sample_brownian_rejects_a_bad_out_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew into a bad out")
+
+    monkeypatch.setattr(sde, "_fill_increments", no_draw)
+    read_only = np.empty((4, 3, 2))
+    read_only.flags.writeable = False
+    for out in (np.empty((4, 3, 1)), np.empty((3, 3, 2)), np.empty((4, 6)), np.empty((4, 3, 2), np.float32),
+                read_only, np.empty((4, 3, 2)).tolist()):
+        with pytest.raises(ValueError, match="out must be a writable float64 array of shape \\(4, 3, 2\\)"):
+            sde.sample_brownian(1, 3, 4, 2, 1.0, out=out)
+
+
+@pytest.mark.parametrize("n", [16, 4096])
+@pytest.mark.parametrize("b", [1.0, -1.3, math.sqrt(2.0)])
+def test_one_by_one_diffusion_scales_with_the_matmul_bits(monkeypatch, n, b):
+    # signed zeros, subnormals and normals in place of the streams' normals, in one chunk of 5 paths
+    z = np.resize([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1.0, -0.7, 3.9, -8.2], (5, n))
+    monkeypatch.setattr(sde, "_normals_into", lambda out, *args: np.copyto(out, z))
+    B, scale = np.array([[b]]), math.sqrt(0.5 / n)
+    got = sde._fill_increments(np.empty((5, n, 1)), 0, 1, np.arange(5, dtype=np.uint64), B, scale)
+    want = np.matmul(z.reshape(5, n, 1), B.T) * scale
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[0, :2]).any()  # z = +-0.0: the matmul's sum starts at +0.0
+
+
+@pytest.mark.parametrize("N, d", [(600, 1), (16, 1), (300, 2), (16, 2), (128, 5), (16, 5)])
+def test_walk_norms_are_numpys_norms_bitwise(N, d):
+    # padded rows (N d >= 512) and contiguous ones, and their contiguous copies
+    inc = sde.sample_brownian(3, N, 7, d, 1.0).increments
+    walk = np.zeros((7, N + 1, d))
+    np.cumsum(inc, axis=-2, out=walk[:, 1:])
+    want = np.linalg.norm(walk, axis=-1)
+    for a in (inc, np.ascontiguousarray(inc)):
+        assert sde.walk_norms(a).tobytes() == want.tobytes()
+        assert sde.walk_norms(a[2]).tobytes() == want[2].tobytes()
 
 
 @pytest.mark.parametrize("N, d", PADDED)
@@ -154,22 +275,22 @@ def test_padded_increments_give_the_bits_of_contiguous_ones(monkeypatch, N, d):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_philox_normals_rows_match_streams(seed, n):
     index = [0, 9, 3, 2**48 - 1]
-    z = sde._philox_normals(seed, 5, index, n)
+    z = _philox_normals(seed, 5, index, n)
     assert z.shape == (len(index), n)
     for row, m in zip(z, index):
-        assert np.array_equal(row, sde._normals(sde._stream(seed, 5, m), n))
+        assert np.array_equal(row, _normals(sde._stream(seed, 5, m), n))
 
 
 @pytest.mark.parametrize("n", [6, 600])
 def test_philox_normals_independent_of_row_order_and_chunking(monkeypatch, n):
     index = np.arange(300)
-    whole = sde._philox_normals(11, 1, index, n)
+    whole = _philox_normals(11, 1, index, n)
     perm = np.random.default_rng(0).permutation(index)
-    assert np.array_equal(sde._philox_normals(11, 1, perm, n), whole[perm])
-    parts = [sde._philox_normals(11, 1, part, n) for part in np.array_split(index, 7)]
+    assert np.array_equal(_philox_normals(11, 1, perm, n), whole[perm])
+    parts = [_philox_normals(11, 1, part, n) for part in np.array_split(index, 7)]
     assert np.array_equal(np.vstack(parts), whole)
     monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 5)
-    assert np.array_equal(sde._philox_normals(11, 1, index, n), whole)
+    assert np.array_equal(_philox_normals(11, 1, index, n), whole)
 
 
 @pytest.fixture
@@ -229,7 +350,7 @@ def test_point_path_increments_do_not_depend_on_the_thread_count(monkeypatch, po
     B = np.array([[1.0, 0.5], [0.25, 2.0]])
     index = np.arange(9, 40, dtype=np.uint64)
     got = sde._fill_increments(np.empty((len(index), M, N, 2)), 4, 7, index, B, math.sqrt(0.5 / N))
-    want = sde._philox_normals(4, 7, index, M * N * 2).reshape(len(index) * M, N, 2) @ B.T
+    want = _philox_normals(4, 7, index, M * N * 2).reshape(len(index) * M, N, 2) @ B.T
     want *= math.sqrt(0.5 / N)
     assert np.array_equal(got, want.reshape(got.shape))
 
@@ -262,7 +383,7 @@ def test_philox_lanes_equal_the_allocating_words(seed, rows, blocks):
     work = np.full((11, rows * blocks + 5), 7, dtype=np.uint64)  # stale words and spare lanes
     lanes = sde._philox_lanes(seed, key1, blocks, work)
     got = np.stack(lanes, axis=-1).reshape(rows, 4 * blocks)
-    assert np.array_equal(got, sde._philox_words(seed, key1, blocks))
+    assert np.array_equal(got, _philox_words(seed, key1, blocks))
     assert all(np.shares_memory(lane, work) for lane in lanes)
 
 

@@ -60,38 +60,42 @@ def test_weak_slope_is_linregress_bitwise():
         assert studies._slope(x, y) == linregress(x, y).slope
 
 
-def _record_draws(monkeypatch, owner, name, arrays):
-    """Wrap ``owner.name`` to keep weakrefs to the arrays of each draw; returns, per draw,
-    how many arrays of earlier draws were alive when it started."""
-    draw, refs, alive = getattr(owner, name), [], []
+def _record_draws(monkeypatch, owner, name, written, arrays):
+    """Wrap ``owner.name`` to keep weakrefs to the arrays of each draw.
+
+    Returns two lists with one entry per draw: how many arrays of earlier
+    draws were alive when it started, and the array that owns the memory
+    it writes into (``written(*args, **kwargs)``, a view)."""
+    draw, refs, alive, owners = getattr(owner, name), [], [], []
 
     def recorded(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in refs))
+        owners.append(written(*args, **kwargs).base)
         out = draw(*args, **kwargs)
         refs.extend(weakref.ref(a) for a in arrays(out))
         return out
 
     monkeypatch.setattr(owner, name, recorded)
-    return alive
-
-
-def _grid_arrays(grid):
-    inc = grid.increments
-    return [grid, inc] + ([] if inc.base is None else [inc.base])
+    return alive, owners
 
 
 def test_weak_study_holds_one_chunk_at_a_time(monkeypatch):
+    # every chunk of both grids is drawn into one buffer, and no earlier chunk's grid is alive
     monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", 4 * 512)  # 2 and 8 chunks of 16 and 4 paths
-    alive = _record_draws(monkeypatch, sde, "sample_brownian", _grid_arrays)
+    alive, owners = _record_draws(
+        monkeypatch, sde, "sample_brownian", lambda *args, out, **kwargs: out, lambda grid: [grid, grid.increments]
+    )
     studies.weak_error_study(Ns=(2, 8), paths=30, refine=64, seed=9)
     assert len(alive) == 10 and alive == [0] * 10
+    assert owners[0] is not None and all(o is owners[0] for o in owners)
 
 
 def test_mc_euler_functional_holds_one_chunk_at_a_time(monkeypatch):
-    monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", 37 * 8 * 5)  # 9 chunks of 37 points
-    alive = _record_draws(monkeypatch, sde, "_fill_increments", lambda inc: [inc])
+    monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", 37 * 8 * 5)  # 9 chunks of 37 points, the last of 4
+    alive, owners = _record_draws(monkeypatch, sde, "_fill_increments", lambda inc, *args: inc, lambda inc: [inc])
     studies._mc_euler_functional_errors(problems.heat_relu_problem(1), 4, 8, 300, seed=404)
     assert len(alive) == 9 and alive == [0] * 9
+    assert owners[0] is not None and all(o is owners[0] for o in owners)
 
 
 @pytest.mark.parametrize("elements", [800, 5 * 800, 1 << 22])
