@@ -28,13 +28,13 @@ layers.  So the paths are built once, as one template network whose
 biases carry a member axis where the noise reaches them, and every
 member bias is bitwise the one a build of that path alone gives.
 
-The M-path average is assembled as a depth pipeline: path blocks run one
-after another over carried (t, x) channels while a running accumulator
-collects the outputs.  The pipeline weight of each template layer is
-formed once and shared by all M blocks; only their biases differ.  The
-realization equals the weighted average of the member realizations;
-parameters grow linearly in M, comfortably inside the quadratic
-parameter budget.
+The M-path average is ``nets.pipeline_average`` of the template: path
+blocks run one after another over carried (t, x) channels while a running
+accumulator collects the outputs.  The pipeline weight of each template
+layer is formed once and shared by all M blocks; only their biases
+differ.  The realization equals the weighted average of the member
+realizations; parameters grow linearly in M, comfortably inside the
+quadratic parameter budget.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import os
 import re
 import stat
 from dataclasses import dataclass
+from functools import cached_property
 from json.decoder import JSONArray
 from json.scanner import py_make_scanner
 
@@ -52,7 +53,7 @@ import numpy as np
 
 from . import nets
 from .bounds import Budget, RegularityParams, solution_error_bound, solution_param_bound
-from .nets import Layer, Network
+from .nets import Network
 from .sde import BrownianGrid, sample_brownian, sqrtm_psd
 
 
@@ -86,6 +87,11 @@ class PdeProblem:
     @property
     def d(self) -> int:
         return self.drift_net.in_dim
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """The diffusion factor sqrtm_psd(2 A), which scales the Brownian increments."""
+        return sqrtm_psd(2.0 * self.A)
 
     def _spot_check_growth(self):
         # the drift growth hypothesis ||drift(x)|| <= kappa (d^kappa + ||x||)
@@ -205,67 +211,6 @@ def build_euler_net(
     return nets.average_nets([passthrough] + branches, [1.0] * (N + 1))
 
 
-def _pipeline_average(template: Network, M: int) -> Network:
-    """Network realizing (1/M) sum_m realize(member m, .) via a depth pipeline.
-
-    Member m of the scalar network ``template`` (of depth >= 2, as every
-    built path network is) has its weights and row m of each bias that
-    carries a member axis.  Inputs are carried as rectified (positive,
-    negative) channel pairs; member blocks execute one after another and
-    feed a running accumulator pair.  Parameter count is
-    linear in M, while the pipeline weight of each template layer is formed
-    once and shared by all M blocks.
-    """
-    P = template.in_dim
-    if template.out_dim != 1:
-        raise ValueError("pipeline members must be scalar")
-    if any(l.bias.ndim == 2 and len(l.bias) != M for l in template.layers):
-        raise ValueError("template biases must carry %d members" % M)
-    pairs = 2 * P
-    width0 = pairs + 2  # carried pairs plus the accumulator pair
-    read = np.hstack([np.eye(P), -np.eye(P)])
-    entry = np.zeros((width0, P))
-    entry[:P, :] = np.eye(P)
-    entry[P:pairs, :] = -np.eye(P)
-    blocks = []  # (shared weight, (M, rows) table of member biases)
-    prev = 0
-    for k in range(template.depth - 1):
-        lay = template.layers[k]
-        w = lay.out_dim
-        wk = np.zeros((width0 + w, width0 + prev))
-        wk[:width0, :width0] = np.eye(width0)
-        bk = np.zeros((M, width0 + w))
-        if k == 0:
-            wk[width0:, :pairs] = lay.weight @ read
-        else:
-            wk[width0:, width0:] = lay.weight
-        bk[:, width0:] = lay.bias
-        blocks.append((nets._freeze(wk), bk))
-        prev = w
-    out = template.layers[-1]
-    wt = np.zeros((width0, width0 + prev))
-    bt = np.zeros((M, width0))
-    wt[:pairs, :pairs] = np.eye(pairs)
-    wt[pairs, pairs] = 1.0
-    wt[pairs, pairs + 1] = -1.0
-    wt[pairs + 1, pairs] = -1.0
-    wt[pairs + 1, pairs + 1] = 1.0
-    wt[pairs, width0:] = out.weight[0]
-    wt[pairs + 1, width0:] = -out.weight[0]
-    bt[:, pairs] = out.bias[..., 0]
-    bt[:, pairs + 1] = -out.bias[..., 0]
-    blocks.append((nets._freeze(wt), bt))
-    layers = [Layer(entry, np.zeros(width0))]
-    for m in range(M):
-        layers.extend(Layer(wk, bk[m]) for wk, bk in blocks)
-    scale = 1.0 / M
-    final = np.zeros((1, width0))
-    final[0, pairs] = scale
-    final[0, pairs + 1] = -scale
-    layers.append(Layer(final, np.zeros(1)))
-    return Network(tuple(layers))
-
-
 def build_mc_average_net(problem: PdeProblem, budget: Budget, noise: BrownianGrid) -> SolutionNet:
     """Assemble the full solution network for one Brownian realization.
 
@@ -283,7 +228,7 @@ def build_mc_average_net(problem: PdeProblem, budget: Budget, noise: BrownianGri
         problem.init_net,
         build_euler_net(problem.drift_net, increments, noise.grid, budget.delta, growth),
     )
-    net = template if budget.M == 1 else _pipeline_average(template, budget.M)
+    net = template if budget.M == 1 else nets.pipeline_average(template, budget.M)
     p_count = nets.param_count(net)
     p_bound = solution_param_bound(problem.params, d, budget.N, budget.M, budget.delta)
     if p_count > p_bound:
@@ -314,8 +259,7 @@ def solve(problem: PdeProblem, budget: Budget, seed: int) -> SolutionNet:
     that ``bounds.plan_budget`` gives for an accuracy are astronomically
     large for realistic inputs.
     """
-    B = sqrtm_psd(2.0 * problem.A)
-    noise = sample_brownian(seed, budget.N, budget.M, problem.d, problem.T, B)
+    noise = sample_brownian(seed, budget.N, budget.M, problem.d, problem.T, problem.B)
     return build_mc_average_net(problem, budget, noise)
 
 

@@ -3,6 +3,8 @@
 Subcommands: ``plan`` (budget formulas), ``build`` (construct and write a
 solution network), ``verify`` (error report for a written network), and
 ``study euler|weak|calculus|bounds`` (property and convergence suites).
+``--paths`` sizes euler and weak and ``--instances`` calculus; a suite
+given a size flag it does not read exits 2 (bounds reads neither).
 
 All commands are deterministic given their flags; seeds are explicit.
 Exit codes: 0 success, 1 bound violation, 2 input/IO error.  Flags beat
@@ -95,7 +97,7 @@ def cmd_build(args) -> int:
         build.save_solution(solution, args.out)
     except (OSError, ValueError) as exc:
         return _fail("cannot write %s: %s" % (args.out, exc))
-    count = nets.param_count(solution.net)
+    count = solution.provenance["bound_values"]["param_count"]
     limit = solution.provenance["bound_values"]["param_bound"]
     print("param_count %d" % count)
     print("param_bound %.17g" % limit)
@@ -141,8 +143,7 @@ def cmd_verify(args) -> int:
             "provenance N=%d, M=%d, d=%d need at least %d parameters, the network has %d"
             % (N, M, pb.d, N * M * pb.d, nets.param_count(net))
         )
-    B = sde.sqrtm_psd(2.0 * pb.A)
-    noise = sde.sample_brownian(seed, N, M, pb.d, pb.T, B)
+    noise = sde.sample_brownian(seed, N, M, pb.d, pb.T, pb.B)
     p = pb.params.p
     # one set of measure points and one realization of the network serve both errors
     ts, xs = tp.measure.sample(args.samples, args.seed)
@@ -167,16 +168,22 @@ def cmd_verify(args) -> int:
 
 def cmd_study(args) -> int:
     name = args.suite
-    if name in ("euler", "weak") and args.paths < 2:
-        return _fail("--paths must be at least 2, got %d" % args.paths)
-    if name == "calculus" and args.instances < 1:
-        return _fail("--instances must be at least 1, got %d" % args.instances)
+    reads = {"euler": "paths", "weak": "paths", "calculus": "instances"}.get(name)
+    for flag in ("paths", "instances"):
+        if flag != reads and getattr(args, flag) is not None:
+            return _fail("study %s does not read --%s" % (name, flag))
+    paths = 20_000 if args.paths is None else args.paths
+    instances = 500 if args.instances is None else args.instances
+    if name in ("euler", "weak") and paths < 2:
+        return _fail("--paths must be at least 2, got %d" % paths)
+    if name == "calculus" and instances < 1:
+        return _fail("--instances must be at least 1, got %d" % instances)
     if name == "calculus":
-        rows, ok = studies.calculus_study(instances=args.instances, seed=args.seed)
+        rows, ok = studies.calculus_study(instances=instances, seed=args.seed)
         header = ("check", "instances", "failures")
     elif name == "euler":
-        moment_paths = max(1000, args.paths // 5)
-        rows1, ok1 = studies.strong_interp_study(paths=args.paths, seed=args.seed)
+        moment_paths = max(1000, paths // 5)
+        rows1, ok1 = studies.strong_interp_study(paths=paths, seed=args.seed)
         rows2, ok2 = studies.moment_study(paths=moment_paths, seed=args.seed + 1)
         rows = [("interp", "N=%d" % N, M, est, se, bnd, 0) for N, M, est, se, bnd in rows1]
         rows += [
@@ -186,7 +193,7 @@ def cmd_study(args) -> int:
         ok = ok1 and ok2
         header = ("check", "case", "paths", "estimate", "std_error", "bound", "violations")
     elif name == "weak":
-        rows, slope, ok = studies.weak_error_study(paths=args.paths, seed=args.seed)
+        rows, slope, ok = studies.weak_error_study(paths=paths, seed=args.seed)
         rows = list(rows) + [("slope", "", slope, "", -0.35)]
         header = ("N", "M", "estimate", "std_error", "bound")
     else:  # bounds; argparse admits no other suite
@@ -238,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_study = sub.add_parser("study", help="run a property/convergence suite")
     p_study.add_argument("suite", choices=("euler", "weak", "calculus", "bounds"))
-    p_study.add_argument("--paths", type=int, default=20_000)
-    p_study.add_argument("--instances", type=int, default=500)
+    # None marks a flag not given: a suite rejects a size flag it does not read
+    p_study.add_argument("--paths", type=int, help="paths per estimate: euler, weak (default 20000)")
+    p_study.add_argument("--instances", type=int, help="instances per check: calculus (default 500)")
     p_study.add_argument("--seed", type=int, default=0)
     p_study.add_argument("--out")
     p_study.set_defaults(func=cmd_study)

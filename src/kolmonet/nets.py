@@ -7,10 +7,11 @@ freely across threads.  ``realize`` runs a layer through the independent
 blocks of its weight's nonzero pattern where it splits; each network
 works out that plan on its first ``realize`` and keeps it.
 
-The two nonstandard constructions are ``product_net`` (an accuracy
+The nonstandard constructions are ``product_net`` (an accuracy
 controlled two-input multiplier built from the sawtooth approximation of
-the square function) and ``hat_time_net`` (the clipped interpolation ramp
-used when a scheme is emulated in a single space-time network).
+the square function), ``hat_time_net`` (the clipped interpolation ramp
+used when a scheme is emulated in a single space-time network) and
+``pipeline_average`` (the Monte Carlo average of weight-sharing members).
 """
 
 from __future__ import annotations
@@ -451,6 +452,43 @@ def average_nets(nets, weights) -> Network:
             sum(wt * n.layers[-1].bias for wt, n in zip(weights, nets)),
         )
     )
+    return Network(tuple(layers))
+
+
+def pipeline_average(template: Network, M: int) -> Network:
+    """Network realizing (1/M) sum_m realize(member m, .) as a depth pipeline.
+
+    Member m of the scalar ``template`` (of depth >= 2, as every built path
+    network is) has its weights and row m of each bias that carries a
+    member axis.  The member blocks run one after another over the inputs,
+    carried as rectified (positive, negative) pairs, and a running
+    accumulator pair.  Each block weight is formed once and shared by all
+    M blocks, so the parameter count is linear in M.
+    """
+    P = template.in_dim
+    if template.out_dim != 1:
+        raise ValueError("pipeline members must be scalar")
+    if any(l.bias.ndim == 2 and len(l.bias) != M for l in template.layers):
+        raise ValueError("template biases must carry %d members" % M)
+    pairs = 2 * P
+    carry, quiet = np.eye(pairs + 2), np.zeros(pairs + 2)  # the carried pairs, then the accumulator pair
+    read = np.hstack([np.eye(P), -np.eye(P), np.zeros((P, 2))])
+
+    def biases(*parts):  # the (M, rows) table of the member biases
+        return np.concatenate([np.broadcast_to(b, (M, b.shape[-1])) for b in parts], axis=-1)
+
+    first, *hidden, out = template.layers
+    difference = _block_diag([np.eye(pairs), np.array([[1.0, -1.0], [-1.0, 1.0]])])
+    add = np.vstack([np.zeros((pairs, out.in_dim)), out.weight, -out.weight])
+    # each weight is frozen as it is formed, so its unfrozen copy is freed before the next forms
+    blocks = [(_freeze(np.vstack([carry, first.weight @ read])), biases(quiet, first.bias))]
+    blocks += [(_freeze(_block_diag([carry, l.weight])), biases(quiet, l.bias)) for l in hidden]
+    blocks.append((_freeze(np.hstack([difference, add])), biases(np.zeros(pairs), out.bias, -out.bias)))
+    layers = [Layer(read.T, quiet)]
+    for m in range(M):
+        layers.extend(Layer(w, b[m]) for w, b in blocks)
+    scale = 1.0 / M
+    layers.append(Layer(np.hstack([np.zeros((1, pairs)), [[scale, -scale]]]), np.zeros(1)))
     return Network(tuple(layers))
 
 

@@ -131,8 +131,7 @@ def _moment_row(name: str, d: int, q: float, paths: int, seed: int):
     # one function per row, so that a row's path arrays are freed before the next row's
     tp = problems.get_problem(name, d)
     pb = tp.problem
-    B = sde.sqrtm_psd(2.0 * pb.A)
-    noise = sde.sample_brownian(seed + d, 16, paths, d, pb.T, B)
+    noise = sde.sample_brownian(seed + d, 16, paths, d, pb.T, pb.B)
     x0 = np.full(d, 0.5)
     states = sde.euler_states(x0, pb.drift_net, noise.increments, pb.T)
     norms = np.stack([np.linalg.norm(y, axis=1) for y in states], axis=1)  # (paths, N+1)
@@ -142,7 +141,7 @@ def _moment_row(name: str, d: int, q: float, paths: int, seed: int):
     emp = means[n_star] ** (1.0 / q)
     se = powq[:, n_star].std(ddof=1) / math.sqrt(paths)
     se_emp = se / (q * emp ** (q - 1.0)) if emp > 0 else se
-    trace = float(np.trace(B @ B.T))
+    trace = float(np.trace(pb.B @ pb.B.T))
     C, c = pb.params.C, pb.params.c
     bound = bounds.apriori_sde_bound(
         float(np.linalg.norm(x0)),
@@ -187,8 +186,7 @@ def weak_error_study(
     pb = tp.problem
     d = 1
     x0 = np.full(d, 0.7)
-    B = sde.sqrtm_psd(2.0 * pb.A)
-    trace = float(np.trace(B.T @ B))
+    trace = float(np.trace(pb.B.T @ pb.B))
     steps = [max(1, sde._MC_CHUNK_ELEMENTS // (refine * N * d)) for N in Ns]
     buffer = np.empty(max(min(step, paths) * sde._row_values(refine * N, d) for N, step in zip(Ns, steps)))
     rows = []
@@ -201,7 +199,7 @@ def weak_error_study(
             # only the helper's frame holds the chunk's grid, so it is gone before the next draw
             m = min(step, paths - lo)
             diff[lo : lo + step] = _weak_chunk_diff(
-                sde.sample_brownian(seed + j, nf, m, d, pb.T, B, first=lo, out=sde._path_rows(m, nf, d, buffer)),
+                sde.sample_brownian(seed + j, nf, m, d, pb.T, pb.B, first=lo, out=sde._path_rows(m, nf, d, buffer)),
                 x0, refine, drift_shift,
             )
         est = float(diff.mean())
@@ -254,7 +252,6 @@ def _mc_euler_functional_errors(tp, N, M, K, seed):
     slice of one (points per chunk, M, N, d) buffer.
     """
     pb = tp.problem
-    B = sde.sqrtm_psd(2.0 * pb.A)
     ts, xs = tp.measure.sample(K, seed)
     u_vals = tp.exact_solution(ts, xs)
     sq_errors = np.empty(K)
@@ -263,7 +260,7 @@ def _mc_euler_functional_errors(tp, N, M, K, seed):
     index = np.arange(K, dtype=np.uint64)
     for s in chunks:
         inc = buffer[: s.stop - s.start]
-        sde._fill_increments(inc, seed, sde._TAG_POINT_PATHS, index[s], B, math.sqrt(pb.T / N))
+        sde._fill_increments(inc, seed, sde._TAG_POINT_PATHS, index[s], pb.B, math.sqrt(pb.T / N))
         vals = sde.mc_values(pb.init_net, pb.drift_net, inc, pb.T, ts[s], xs[s]).mean(axis=1)
         sq_errors[s] = (vals - u_vals[s]) ** 2
     return sq_errors
@@ -397,7 +394,7 @@ def bounds_study(seed: int = 505):
 
     # gronwall growth-factor moments, (r, q) = (2, 2), heat problem, d = 1
     tp = problems.heat_relu_problem(1)
-    B = sde.sqrtm_psd(2.0 * tp.problem.A)
+    B = tp.problem.B
     trace = float(np.trace(B.T @ B))
     N, paths = 8, 20_000
     noise = sde.sample_brownian(seed + 5, N, paths, 1, tp.problem.T, B)

@@ -122,9 +122,9 @@ def test_builder_input_validation():
             build.build_euler_net(drift, np.zeros(shape), _grid(2), 0.5)
     template = build.build_euler_net(drift, np.zeros((3, 2, 1)), _grid(2), 0.5)
     with pytest.raises(ValueError, match="carry 4 members"):
-        build._pipeline_average(template, 4)
+        nets.pipeline_average(template, 4)
     with pytest.raises(ValueError, match="scalar"):
-        build._pipeline_average(nets.parallel_stack([template, template]), 3)
+        nets.pipeline_average(nets.parallel_stack([template, template]), 3)
 
 
 def _pipeline_average_of_members(members, scale):
@@ -215,6 +215,14 @@ def test_template_build_matches_per_path_builds(maker, d, N, M, delta, seed):
     if M > 1:
         # one weight array per template layer, shared by every member, plus entry and exit
         assert len({id(l.weight) for l in net.layers}) == members[0].depth + 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("name", problems.problem_names())
+def test_problem_diffusion_factor_is_sqrtm_of_twice_a(name, d):
+    pb = problems.get_problem(name, d).problem
+    assert pb.B.tobytes() == sde.sqrtm_psd(2.0 * pb.A).tobytes()
+    assert pb.B is pb.B  # computed once
 
 
 def test_average_m1_reduces_to_composition():

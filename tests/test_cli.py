@@ -138,6 +138,48 @@ def test_study_degenerate_counts_exit_two_before_any_work(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "suite, flag",
+    [("bounds", "--paths"), ("bounds", "--instances"), ("calculus", "--paths"), ("euler", "--instances"), ("weak", "--instances")],
+)
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_study_flag_its_suite_does_not_read_exits_two_before_any_work(
+    tmp_path, capsys, monkeypatch, suite, flag, via_config
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    for name in ("weak_error_study", "strong_interp_study", "moment_study", "calculus_study", "bounds_study"):
+        monkeypatch.setattr(cli.studies, name, no_work)
+    out = tmp_path / "rows.csv"
+    argv = ["study", suite, flag, "5", "--out", str(out)]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: 5}))
+        argv = ["study", suite, "--config", str(cfg), "--out", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: study %s does not read %s\n" % (suite, flag)
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "suite, study, size",
+    [("euler", "strong_interp_study", "paths"), ("weak", "weak_error_study", "paths"), ("calculus", "calculus_study", "instances")],
+)
+def test_study_size_flags_keep_their_defaults(monkeypatch, suite, study, size):
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(cli.studies, study, record)
+    assert run(["study", suite, "--seed", "3"]) == 2
+    assert calls == [{size: {"paths": 20_000, "instances": 500}[size], "seed": 3}]
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
 def test_bad_kolmonet_threads_exits_two_before_any_work(capsys, monkeypatch, value):
     def no_work(*args, **kwargs):

@@ -516,6 +516,18 @@ def test_stacked_layers_mix_vector_and_member_biases():
             _assert_layers_equal(_member(together, m), combine([_member(n, m) for n in group]))
 
 
+@pytest.mark.parametrize("dims", [(2, 5, 1), (2, 5, 4, 1)], ids=["no_hidden_block", "one_hidden_block"])
+def test_pipeline_average_matches_member_list_pipeline(dims):
+    # templates no build makes: depth 2 has no hidden block between the first and the accumulator
+    from test_builder import _pipeline_average_of_members
+
+    M = 3
+    template = _shared_weight_template(11, dims, M)
+    net = nets.pipeline_average(template, M)
+    _assert_layers_equal(net, _pipeline_average_of_members([_member(template, m) for m in range(M)], 1.0 / M))
+    assert len({id(l.weight) for l in net.layers}) == template.depth + 2
+
+
 def test_member_axis_network_is_neither_realized_nor_written():
     # with as many points as members, realize would otherwise broadcast silently
     net = _shared_weight_template(4, (2, 5, 1), 2)
@@ -548,7 +560,7 @@ def _same_matrix_net(depth, width):
 @pytest.mark.parametrize(
     "net",
     [
-        build._pipeline_average(_shared_weight_template(4, (2, 5, 4, 1), 3), 3),
+        nets.pipeline_average(_shared_weight_template(4, (2, 5, 4, 1), 3), 3),
         _equal_bytes_net(),
         _same_matrix_net(6, 4),
     ],
