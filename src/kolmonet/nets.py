@@ -519,12 +519,18 @@ def product_net(eps: float, R: float = 1.0) -> Network:
     exactly 0.0: both branches then see bitwise identical values and the
     final difference cancels exactly.
 
-    The number of stages grows like log2(1/eps) + 2*log2(R).
+    The number of stages grows like log2(1/eps) + 2*log2(R); a ratio R^2 / eps
+    beyond the float range raises ValueError with its log10.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
     if R < 1.0:
         raise ValueError("range bound R must be >= 1")
+    if not math.isfinite(float(R) * float(R) / eps):
+        raise ValueError(
+            "product range R^2 / eps beyond the float range: eps = %g, R = %g, log10(R^2 / eps) = %.6g"
+            % (eps, R, 2.0 * math.log10(R) - math.log10(eps))
+        )
     K = product_depth_stages(eps, R)
     s = 1.0 / (2.0 * R)
     layers = []

@@ -26,14 +26,17 @@ each row with ``Generator.random``, (word >> 11) 2^-53, of one numpy C
 give the same bits; the tests compare them with the ``Generator.integers``
 path.  Path indices stay below 2^48, so they never reach the purpose tag.
 
-Threads: the paths of a draw run in chunks of max(1, 4 * _CHUNK_BLOCKS //
-(N k)) paths, on a pool with one thread per CPU of the process, capped by
-KOLMONET_THREADS; a draw of one chunk runs inline.  Each chunk is one
-batched product of the same shape on any thread, so the bits do not
-depend on the thread count.  The calling thread allocates each thread's
-normals, products and Philox state, and the threads allocate nothing
-large: glibc keeps a thread's freed blocks in that thread's heap, so
-temporaries made on two threads would raise the peak memory.
+Threads: the paths of a draw run in chunks of max(1, _CHUNK_BLOCKS //
+ceil(N k / 4)) paths, so a chunk of short streams is one Philox pass of
+at most _CHUNK_BLOCKS blocks.  A draw of one chunk runs inline.  A draw of
+more chunks starts its own pool, one thread per CPU of the process capped
+by KOLMONET_THREADS and by the chunk count, and joins it before it
+returns: no thread outlives a draw.  Each chunk is one batched product of
+the same shape on any thread, so the bits do not depend on the thread
+count.  The calling thread allocates each thread's normals, products and
+Philox state, and the threads allocate nothing large: glibc keeps a
+thread's freed blocks in that thread's heap, so temporaries made on two
+threads would raise the peak memory.
 
 Memory layout: a path of at least 512 increment values is one row of a
 buffer whose row stride is one 64-byte cache line longer than the row.
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import os
 import queue
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,8 +91,6 @@ _ROW_PAD = 8
 # Grid values (points x paths x (steps + 1) x d) per chunk of ``mc_values``: the chunks set the
 # batch shapes of the drift, and so its bits.
 _MC_CHUNK_ELEMENTS = 1 << 22
-# The sampler's threads: made by the first draw of more than one chunk.
-_POOL = None
 
 
 def _key(seed: int, tag: int, index: int) -> np.ndarray:
@@ -159,12 +160,13 @@ def _philox_lanes(seed: int, key1: np.ndarray, blocks: int, work: np.ndarray):
 def _normals_into(z: np.ndarray, seed: int, tag: int, index: np.ndarray, scratch) -> np.ndarray:
     """Fill row i of z, shape (rows, n), with the first n normals of the stream (seed, tag << 48 | index[i]).
 
-    In place: ``scratch`` is what ``_scratch(seed, tag, n, rows)`` returns, and
-    nothing else of size n is allocated.  Streams of at least 512 words
-    fill each row with ``Generator.random``, which is (word >> 11) 2^-53;
-    shorter ones run ``_philox_lanes`` and shift and scale their words.
-    Adding 2^-54 then gives the midpoint uniform ((word >> 11) + 0.5) 2^-53
-    with its one rounding, and ``ndtri`` runs in place.
+    In place: ``scratch`` is what ``_scratch(seed, tag, n, rows)`` returns,
+    and nothing else of size n is allocated.  Streams of at least 512
+    words fill each row with ``Generator.random``, which is (word >> 11)
+    2^-53; shorter ones run one ``_philox_lanes`` pass over all rows and
+    shift and scale its words.  Adding 2^-54 then gives the midpoint
+    uniform ((word >> 11) + 0.5) 2^-53 with its one rounding, and ``ndtri``
+    runs in place.
     """
     rows, n = z.shape
     if rows and index.max() >= _PATH_LIMIT:
@@ -177,13 +179,9 @@ def _normals_into(z: np.ndarray, seed: int, tag: int, index: np.ndarray, scratch
             gen.bit_generator.state = fresh
             gen.random(out=z[i])
     else:
-        blocks = -(-n // 4)
-        step = scratch.shape[1] // blocks
-        for lo in range(0, rows, step):
-            lanes = _philox_lanes(seed, np.uint64(tag << 48) | index[lo : lo + step, None], blocks, scratch)
-            for j, lane in enumerate(lanes):
-                lane >>= 11
-                z[lo : lo + step, j::4] = lane[:, : (n - j + 3) // 4]
+        for j, lane in enumerate(_philox_lanes(seed, np.uint64(tag << 48) | index[:, None], -(-n // 4), scratch)):
+            lane >>= 11
+            z[:, j::4] = lane[:, : (n - j + 3) // 4]
         z *= _U53
     z += _U54
     return ndtri(z, out=z)
@@ -194,13 +192,12 @@ def _scratch(seed: int, tag: int, n: int, rows: int):
 
     A generator and its fresh state for long streams, re-keyed per path
     (constructing one per path would gather OS entropy each time); the
-    uint64 lanes of ``_philox_lanes`` for short ones.
+    uint64 lanes of one ``_philox_lanes`` pass over all rows for short ones.
     """
     if n >= _ROW_STREAM_WORDS:
         gen = np.random.Generator(np.random.Philox(key=_key(seed, tag, 0)))
         return gen, gen.bit_generator.state
-    blocks = -(-n // 4)
-    return np.empty((11, max(1, min(rows, _CHUNK_BLOCKS // blocks)) * blocks), dtype=np.uint64)
+    return np.empty((11, rows * -(-n // 4)), dtype=np.uint64)
 
 
 def _workers() -> int:
@@ -210,34 +207,23 @@ def _workers() -> int:
     return min(cpus, cap) if cap else cpus
 
 
-def _executor(size: int) -> ThreadPoolExecutor:
-    """The sampler's pool, made with ``size`` threads on first use.
-
-    A later draw may ask for another size; the number of buffer sets it
-    makes still caps how many of its chunks run at once.
-    """
-    global _POOL
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(size, thread_name_prefix="kolmonet-sampler")
-    return _POOL
-
-
 def _fill_increments(out: np.ndarray, seed: int, tag: int, index: np.ndarray, B: np.ndarray, scale) -> np.ndarray:
     """Set out[i] = scale * (z_i @ B.T), where z_i are the normals of the stream (seed, tag << 48 | index[i]).
 
     ``out`` has shape (rows, ..., d) and may be a view with padded rows;
     z_i is the stream's first n = out[i].size // d * k normals, shaped
     out[i].shape[:-1] + (k,) for the d x k matrix B.  The streams run in
-    chunks of max(1, 4 * _CHUNK_BLOCKS // n), on the pool of ``_workers()``
-    threads when there is more than one chunk (see the module docstring).
-    The threads call only private functions, and write into buffers this
-    thread allocates.  A 1 x 1 matrix B scales elementwise instead of the
-    matmul, with the same bits.  Returns ``out``.
+    chunks of max(1, _CHUNK_BLOCKS // ceil(n / 4)), each one Philox pass.
+    A draw of more than one chunk runs them on a pool of at most
+    ``_workers()`` threads that it starts and joins (see the module
+    docstring).  The threads call only private functions, and write into
+    buffers this thread allocates.  A 1 x 1 matrix B scales elementwise
+    instead of the matmul, with the same bits.  Returns ``out``.
     """
     count, d, k = len(out), out.shape[-1], B.shape[1]
     inner = out.shape[1:-1]
     n = int(np.prod(inner, dtype=np.int64)) * k
-    rows = min(count, max(1, 4 * _CHUNK_BLOCKS // n))
+    rows = min(count, max(1, _CHUNK_BLOCKS // -(-n // 4)))
     starts = range(0, count, rows)
     size = 1 if len(starts) == 1 else min(_workers(), len(starts))
     buffers = queue.SimpleQueue()
@@ -264,12 +250,9 @@ def _fill_increments(out: np.ndarray, seed: int, tag: int, index: np.ndarray, B:
     if size == 1:
         for lo in starts:
             chunk(lo)
-        return out
-    pool = _executor(size)
-    futures = [pool.submit(chunk, lo) for lo in starts]
-    wait(futures)
-    for future in futures:
-        future.result()  # the first chunk's error, in chunk order
+    else:
+        with ThreadPoolExecutor(size, thread_name_prefix="kolmonet-sampler") as pool:
+            list(pool.map(chunk, starts))  # the first chunk's error, in chunk order
     return out
 
 

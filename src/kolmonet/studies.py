@@ -9,12 +9,20 @@ Carlo standard errors of the estimator.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 
 import numpy as np
 
 from . import bounds, build, nets, problems, sde
+
+# Steps of the strong interpolation study's coarse grid.
+INTERP_STEPS = 8
+# Fine steps per coarse step of the weak error study's oracle.
+WEAK_REFINE = 64
+# Dimensions of the scheme moment rows.
+MOMENT_DIMS = (1, 2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +91,7 @@ def calculus_study(instances: int = 500, seed: int = 0):
 # strong interpolation error and scheme moments
 
 
-def strong_interp_study(paths: int = 100_000, N: int = 8, seed: int = 101):
+def strong_interp_study(paths: int = 100_000, seed: int = 101):
     """Midpoint RMS of the interpolation gap against (1/2) sqrt(h Trace(B B*)).
 
     The continuous-time scheme is realized on a refinement of factor two,
@@ -92,7 +100,7 @@ def strong_interp_study(paths: int = 100_000, N: int = 8, seed: int = 101):
     two-sided test that fails correct code on about 6.3e-5 of seeds
     (2 (1 - Phi(4)), with the estimate close to normal at these path counts).
     """
-    T, d = 1.0, 1
+    T, d, N = 1.0, 1, INTERP_STEPS
     h = T / N
     fine = sde.sample_brownian(seed, 2 * N, paths, d, T, np.eye(d))
     coarse = fine.coarsen(2)
@@ -112,7 +120,7 @@ def strong_interp_study(paths: int = 100_000, N: int = 8, seed: int = 101):
     return rows, ok
 
 
-def moment_study(ds=(1, 2, 5), q: float = 2.0, paths: int = 20_000, seed: int = 202):
+def moment_study(q: float = 2.0, paths: int = 20_000, seed: int = 202):
     """Scheme moments on a 16-step grid against the a-priori bound, and pathwise growth envelopes.
 
     Rows: (problem, d, q, empirical, std_error, bound, envelope_violations).
@@ -120,7 +128,7 @@ def moment_study(ds=(1, 2, 5), q: float = 2.0, paths: int = 20_000, seed: int = 
     rows = []
     ok = True
     for name in ("heat_relu", "ou_linear"):
-        for d in ds:
+        for d in MOMENT_DIMS:
             row, row_ok = _moment_row(name, d, q, paths, seed)
             ok = ok and row_ok
             rows.append(row)
@@ -165,7 +173,6 @@ def _moment_row(name: str, d: int, q: float, paths: int, seed: int):
 def weak_error_study(
     Ns=(2, 4, 8, 16, 32, 64),
     paths: int = 20_000,
-    refine: int = 64,
     seed: int = 303,
     drift_shift: float = 0.0,
 ):
@@ -187,28 +194,24 @@ def weak_error_study(
     d = 1
     x0 = np.full(d, 0.7)
     trace = float(np.trace(pb.B.T @ pb.B))
-    steps = [max(1, sde._MC_CHUNK_ELEMENTS // (refine * N * d)) for N in Ns]
-    buffer = np.empty(max(min(step, paths) * sde._row_values(refine * N, d) for N, step in zip(Ns, steps)))
+    steps = [max(1, sde._MC_CHUNK_ELEMENTS // (WEAK_REFINE * N * d)) for N in Ns]
+    buffer = np.empty(max(min(step, paths) * sde._row_values(WEAK_REFINE * N, d) for N, step in zip(Ns, steps)))
     rows = []
     estimates = []
     ok = True
     for j, (N, step) in enumerate(zip(Ns, steps)):
-        nf = refine * N
+        nf = WEAK_REFINE * N
         diff = np.empty(paths)
         for lo in range(0, paths, step):
             # only the helper's frame holds the chunk's grid, so it is gone before the next draw
             m = min(step, paths - lo)
             diff[lo : lo + step] = _weak_chunk_diff(
                 sde.sample_brownian(seed + j, nf, m, d, pb.T, pb.B, first=lo, out=sde._path_rows(m, nf, d, buffer)),
-                x0, refine, drift_shift,
+                x0, drift_shift,
             )
         est = float(diff.mean())
         se = float(diff.std(ddof=1) / math.sqrt(paths))
-        params = bounds.RegularityParams(
-            T=pb.T, kappa=pb.params.kappa, eta=pb.params.eta, p=2.0,
-            c=1.0, C=abs(drift_shift), varsigma0=1.0, varsigma1=0.0, varsigma2=1.0,
-            ell=0.0, L0=1.0, L1=1.0, eps0=0.0, eps1=abs(drift_shift), eps2=0.0,
-        )
+        params = dataclasses.replace(pb.params, C=abs(drift_shift), eps1=abs(drift_shift))
         bound = bounds.weak_error_bound(params, float(np.linalg.norm(x0)), 0.0, pb.T / N, trace)
         # E[Y_N] = x0 (1 - h)^N + s (1 - (1 - h)^N) for the step h = T/N and drift -y + s
         decay = (1.0 - pb.T / N) ** N
@@ -221,9 +224,9 @@ def weak_error_study(
     return rows, _slope(x, y), ok
 
 
-def _weak_chunk_diff(fine, x0, refine, drift_shift):
+def _weak_chunk_diff(fine, x0, drift_shift):
     """Per-path f0(X_T) - g0(Y_T) of one chunk: the fine scheme against the coarse one."""
-    coarse = fine.coarsen(refine).increments
+    coarse = fine.coarsen(WEAK_REFINE).increments
     x_T = deque(sde.euler_states(x0, lambda y: -y, fine.increments, fine.T), maxlen=1)[0]
     y_T = deque(sde.euler_states(x0, lambda y: -y + drift_shift, coarse, fine.T), maxlen=1)[0]
     return x_T.sum(axis=1) - y_T.sum(axis=1)
@@ -349,7 +352,7 @@ def bounds_study(seed: int = 505):
     )
 
     # scheme moments and pathwise envelopes
-    mrows, _ = moment_study(ds=(1, 2, 5), paths=20_000, seed=seed + 1)
+    mrows, _ = moment_study(paths=20_000, seed=seed + 1)
     for name, d, q, emp, se_emp, bound, violations in mrows:
         rows.append(
             (

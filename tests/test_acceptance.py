@@ -50,7 +50,7 @@ def test_criterion_2_product_size_budget(report):
 
 def test_criterion_3_strong_interpolation(report):
     start = time.time()
-    rows, ok = studies.strong_interp_study(paths=100_000, N=8, seed=101)
+    rows, ok = studies.strong_interp_study(paths=100_000, seed=101)
     elapsed = time.time() - start
     (N, paths, rms, se, target) = rows[0]
     report["ok"] = ok and elapsed < 30.0
@@ -63,7 +63,7 @@ def test_criterion_4_moment_bounds_dominate(report):
     rows = []
     ok = True
     for q in (2.0, 4.0):
-        qrows, qok = studies.moment_study(ds=(1, 2, 5), q=q, paths=20_000, seed=202)
+        qrows, qok = studies.moment_study(q=q, paths=20_000, seed=202)
         rows.extend(qrows)
         ok = ok and qok
     worst = min(bound - emp for _, _, _, emp, _, bound, _ in rows)

@@ -103,6 +103,24 @@ def test_build_with_non_finite_provenance_exit_two_and_keeps_the_file(tmp_path, 
     assert out.read_bytes() == b"an earlier build"
 
 
+def test_build_with_a_product_range_beyond_the_float_range_exits_two_with_one_line(tmp_path):
+    # delta = 1e-150 makes the product range R about 8e150, so R^2 / delta overflows
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(kolmonet.__file__).parents[1]))
+    out = tmp_path / "net.json"
+    argv = ["build", "--problem", "heat_relu", "--d", "1", "--N", "1", "--M", "1", "--delta", "1e-150"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kolmonet.cli", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
+    assert proc.stderr == (
+        "error: product range R^2 / eps beyond the float range: eps = 1e-150, R = 8e+150, "
+        "log10(R^2 / eps) = 451.806\n"
+    )
+    # 1e-100 still builds
+    assert run(argv[:-1] + ["1e-100", "--out", str(out)]) == 0
+
+
 def test_verify_missing_file_exit_two(tmp_path):
     assert run(["verify", "--in", str(tmp_path / "absent.json"), "--problem", "heat_relu", "--d", "1"]) == 2
 

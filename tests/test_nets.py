@@ -2,6 +2,9 @@
 
 import io
 import json
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +318,26 @@ def test_product_rejects_bad_eps():
         nets.product_net(-0.1, 1.0)
     with pytest.raises(ValueError):
         nets.product_net(0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "eps, R, log10",
+    [(1e-150, np.float64(8e150), "451.806"), (1e-300, 1e5, "310"), (0.5, np.float64(1e200), "400.301"),
+     (1e-5, math.inf, "inf")],
+)
+def test_product_range_beyond_the_float_range_raises_with_its_log10(eps, R, log10):
+    # R arrives as a numpy scalar from the builder: R * R / eps would overflow with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("eps = %g, R = %g, log10(R^2 / eps) = %s" % (eps, R, log10)) + "$"):
+            nets.product_net(eps, R)
+
+
+def test_product_range_at_the_edge_of_the_float_range_keeps_its_stages():
+    # log10(R^2 / eps) = 307: finite, so the stage count is the formula's
+    R = np.float64(1e150)
+    pn = nets.product_net(1e-7, R)
+    assert nets.product_depth_stages(1e-7, R) == 510 and len(pn.layers) == 510 + 4
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,9 @@
 import math
 import os
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -289,17 +291,47 @@ def test_philox_normals_independent_of_row_order_and_chunking(monkeypatch, n):
     assert np.array_equal(_philox_normals(11, 1, perm, n), whole[perm])
     parts = [_philox_normals(11, 1, part, n) for part in np.array_split(index, 7)]
     assert np.array_equal(np.vstack(parts), whole)
+    # the sampler's chunks: 150 of 2 paths (n = 6) or 300 of 1 (n = 600); T = N scales by 1.0
     monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 5)
-    assert np.array_equal(_philox_normals(11, 1, index, n), whole)
+    assert np.array_equal(sde.sample_brownian(11, n, 300, 1, float(n)).increments.reshape(300, n), whole)
 
 
 @pytest.fixture
 def pool_size(monkeypatch):
-    """Set the sampler's thread count; each test starts without a pool and shuts down its own."""
-    monkeypatch.setattr(sde, "_POOL", None)
-    yield lambda size: monkeypatch.setattr(sde, "_workers", lambda: size)
-    if sde._POOL is not None:
-        sde._POOL.shutdown()
+    """Set the sampler's thread count."""
+    return lambda size: monkeypatch.setattr(sde, "_workers", lambda: size)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The thread counts of the pools the sampler makes, in order."""
+    made = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, size, **kwargs):
+            made.append(size)
+            super().__init__(size, **kwargs)
+
+    monkeypatch.setattr(sde, "ThreadPoolExecutor", Recording)
+    return made
+
+
+@pytest.fixture
+def chunk_threads(monkeypatch):
+    """The names of the threads that draw the sampler's chunks, in the order the chunks start."""
+    names = []
+    normals_into = sde._normals_into
+
+    def record(*args):
+        names.append(threading.current_thread().name)
+        return normals_into(*args)
+
+    monkeypatch.setattr(sde, "_normals_into", record)
+    return names
+
+
+def _sampler_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("kolmonet-sampler")]
 
 
 @pytest.mark.parametrize(
@@ -312,15 +344,15 @@ def pool_size(monkeypatch):
     ],
 )
 @pytest.mark.parametrize("size", [1, 2, 3])
-def test_sample_brownian_bits_do_not_depend_on_the_thread_count(monkeypatch, pool_size, size, N, B):
-    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 16)  # 4 to 23 chunks of the 23 paths
+def test_sample_brownian_bits_do_not_depend_on_the_thread_count(monkeypatch, pool_size, pools, size, N, B):
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 16)  # 5 to 23 chunks of the 23 paths
     first, M, d = 5, 23, B.shape[0]
     pool_size(1)
     serial = sde.sample_brownian(3, N, M, d, 0.8, B, first=first).increments
-    assert sde._POOL is None
+    assert pools == []
     pool_size(size)
     got = sde.sample_brownian(3, N, M, d, 0.8, B, first=first).increments
-    assert (sde._POOL is not None) == (size > 1)
+    assert pools == ([size] if size > 1 else [])
     assert got.strides == serial.strides and np.array_equal(got, serial)
     assert np.array_equal(got, _per_path_increments(3, N, first + M, 0.8, B)[first:])
 
@@ -361,6 +393,46 @@ def test_a_path_index_error_of_a_later_chunk_reaches_the_caller(monkeypatch, poo
     pool_size(2)
     with pytest.raises(ValueError, match="path index 281474976710656 reaches 2\\^48"):
         sde.sample_brownian(0, n, 6, 1, 1.0, first=2**48 - 3)
+    assert _sampler_threads() == []
+
+
+@pytest.mark.parametrize("n", [16, 600])
+def test_no_sampler_thread_outlives_a_draw(monkeypatch, pool_size, chunk_threads, n):
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 4)  # 6 chunks of the 6 paths
+    pool_size(2)
+    sde.sample_brownian(1, n, 6, 1, 1.0)
+    assert len(chunk_threads) == 6 and all(name.startswith("kolmonet-sampler") for name in chunk_threads)
+    assert _sampler_threads() == []
+
+
+def test_each_draw_makes_its_own_pool_sized_for_its_chunks(monkeypatch, pool_size, pools, chunk_threads):
+    # 16 normals a path, 4 Philox blocks a chunk: one path per chunk
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 4)
+    pool_size(8)
+    sde.sample_brownian(5, 16, 2, 1, 1.0)
+    assert pools == [2] and len(set(chunk_threads)) <= 2
+    del chunk_threads[:]
+    sde.sample_brownian(5, 16, 25, 1, 1.0)
+    assert pools == [2, 8] and len(chunk_threads) == 25 and len(set(chunk_threads)) <= 8
+    assert _sampler_threads() == []
+
+
+def test_a_chunk_of_short_streams_is_one_philox_pass(monkeypatch, pool_size):
+    # 10 normals a path: 3 blocks, so 5 paths (15 blocks) a chunk of at most 16 blocks, and 5 chunks of 23 paths
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 16)
+    pool_size(1)  # the chunks in order
+    passes = []
+    philox_lanes = sde._philox_lanes
+
+    def record(seed, key1, blocks, work):
+        passes.append((len(key1), blocks, work.shape))
+        return philox_lanes(seed, key1, blocks, work)
+
+    monkeypatch.setattr(sde, "_philox_lanes", record)
+    B = np.array([[1.0, 0.5], [0.0, 2.0]])
+    got = sde.sample_brownian(3, 5, 23, 2, 0.8, B).increments
+    assert passes == [(5, 3, (11, 15))] * 4 + [(3, 3, (11, 15))]
+    assert np.array_equal(got, _per_path_increments(3, 5, 23, 0.8, B))
 
 
 def test_a_one_chunk_draw_starts_no_thread(monkeypatch, pool_size):
@@ -373,7 +445,6 @@ def test_a_one_chunk_draw_starts_no_thread(monkeypatch, pool_size):
     pool_size(1)
     monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 1)
     sde.sample_brownian(2026, 8, 64, 1, 1.0)  # 64 chunks, one thread
-    assert sde._POOL is None
 
 
 @pytest.mark.parametrize("rows, blocks", [(1, 1), (7, 3), (300, 4), (37, 128)])
@@ -697,7 +768,7 @@ def test_strong_interpolation_midpoint_small():
     # reduced-size version of the acceptance criterion
     from kolmonet.studies import strong_interp_study
 
-    rows, ok = strong_interp_study(paths=20_000, N=8, seed=5)
+    rows, ok = strong_interp_study(paths=20_000, seed=5)
     assert ok
     (N, paths, rms, se, target) = rows[0]
     assert target == bounds.interp_error_bound(2.0, 1.0 / 8, 1.0)

@@ -43,9 +43,9 @@ def test_mc_euler_functional_errors_independent_of_chunk(monkeypatch):
 def test_weak_error_study_independent_of_chunk(monkeypatch, elements):
     # one path per chunk; 16 and 4 paths per chunk, neither dividing 30; one chunk.
     # The 512-step grid draws through the per-path generator, the 128-step one vectorized.
-    want = studies.weak_error_study(Ns=(2, 8), paths=30, refine=64, seed=9)
+    want = studies.weak_error_study(Ns=(2, 8), paths=30, seed=9)
     monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", elements)
-    assert studies.weak_error_study(Ns=(2, 8), paths=30, refine=64, seed=9) == want
+    assert studies.weak_error_study(Ns=(2, 8), paths=30, seed=9) == want
 
 
 def test_weak_slope_is_linregress_bitwise():
@@ -85,7 +85,7 @@ def test_weak_study_holds_one_chunk_at_a_time(monkeypatch):
     alive, owners = _record_draws(
         monkeypatch, sde, "sample_brownian", lambda *args, out, **kwargs: out, lambda grid: [grid, grid.increments]
     )
-    studies.weak_error_study(Ns=(2, 8), paths=30, refine=64, seed=9)
+    studies.weak_error_study(Ns=(2, 8), paths=30, seed=9)
     assert len(alive) == 10 and alive == [0] * 10
     assert owners[0] is not None and all(o is owners[0] for o in owners)
 
