@@ -129,6 +129,8 @@ def cmd_verify(args) -> int:
     net = solution.net
     if net.in_dim != pb.d + 1:
         return _fail("network input dimension %d does not match problem d+1=%d" % (net.in_dim, pb.d + 1))
+    if net.out_dim != 1:
+        return _fail("network output dimension %d is not 1: verify needs a scalar network" % net.out_dim)
     N, M, delta, seed = prov["N"], prov["M"], prov["delta"], prov["seed"]
     for name, value in (("N", N), ("M", M), ("seed", seed)):
         if type(value) is not int:
@@ -178,6 +180,9 @@ def cmd_study(args) -> int:
         return _fail("--paths must be at least 2, got %d" % paths)
     if name == "calculus" and instances < 1:
         return _fail("--instances must be at least 1, got %d" % instances)
+    # these two seed numpy's default_rng, which takes no negative seed
+    if name in ("calculus", "bounds") and args.seed < 0:
+        return _fail("--seed must be at least 0 for study %s, got %d" % (name, args.seed))
     if name == "calculus":
         rows, ok = studies.calculus_study(instances=instances, seed=args.seed)
         header = ("check", "instances", "failures")

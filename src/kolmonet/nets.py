@@ -5,7 +5,7 @@ rectifier on hidden layers and an affine output layer.  All operations
 here are pure and return new immutable networks, so values can be shared
 freely across threads.  ``realize`` runs a layer through the independent
 blocks of its weight's nonzero pattern where it splits; each network
-works out that plan on its first ``realize`` and keeps it.
+works out that plan (numpy alone) on its first ``realize`` and keeps it.
 
 The nonstandard constructions are ``product_net`` (an accuracy
 controlled two-input multiplier built from the sawtooth approximation of
@@ -163,25 +163,29 @@ def _split(weight):
     """The blocks of ``weight``, or None where the dense product is cheaper.
 
     The blocks are the connected components of the bipartite graph of
-    ``weight != 0``: a zero row is a block without columns, and a zero
-    column is read by no block.  The bins have the largest block height
-    and width, and the blocks fill them by next fit, tallest first.  The
-    weight stays dense when it is small or when the bins would take more
-    than half the dense multiply-adds.
+    ``weight != 0``, numbered by their first node, rows before columns: a
+    zero row is a block without columns, and a zero column is read by no
+    block.  The bins have the largest block height and width, and the
+    blocks fill them by next fit, tallest first.  The weight stays dense
+    when it is small or when the bins would take more than half the dense
+    multiply-adds.
     """
     out, inp = weight.shape
     if weight.size < _BLOCK_MIN_SIZE:
         return None
-    # imported here, so that only a realize of a large weight loads scipy.sparse
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     i, j = np.nonzero(weight)
-    # row r of the graph lists columns out + j; np.nonzero runs row by row
-    ends = np.cumsum(np.bincount(i, minlength=out))
-    indptr = np.concatenate(([0], ends, np.full(inp, i.size)))
-    graph = csr_matrix((np.ones(i.size), out + j, indptr), shape=(out + inp, out + inp))
-    count, label = connected_components(graph, directed=False)
+    # Nodes are the rows, then out + the columns.  Each node takes the least
+    # label among its edges, then the label that one points at, until nothing
+    # changes: each component ends up labelled by its smallest node.
+    label, last = np.arange(out + inp), None
+    while not np.array_equal(label, last):
+        last, edge = label, np.minimum(label[i], label[out + j])
+        label = label.copy()
+        np.minimum.at(label, i, edge)
+        np.minimum.at(label, out + j, edge)
+        label = label[label]
+    roots, label = np.unique(label, return_inverse=True)
+    count = roots.size
     row_label, col_label = label[:out], label[out:]
     heights = np.bincount(row_label, minlength=count)
     widths = np.bincount(col_label, minlength=count)

@@ -351,6 +351,44 @@ def test_verify_provenance_sizes_beyond_the_network_exit_two_before_sampling(tmp
     assert captured.out == "" and message in captured.err
 
 
+def test_verify_non_scalar_network_exit_two_before_sampling(tmp_path, capsys, monkeypatch):
+    # a hand-edited file: the right problem_hash, and a last layer with two outputs
+    out = tmp_path / "ou.json"
+    args = ["build", "--problem", "ou_linear", "--d", "1", "--N", "2", "--M", "2", "--delta", "0.0625", "--seed", "2026"]
+    assert run(args + ["--out", str(out)]) == 0
+    solution = build.load_solution(str(out))
+    last = solution.net.layers[-1]
+    two = nets.Layer(np.vstack([last.weight, -last.weight]), np.concatenate([last.bias, last.bias]))
+    build.save_solution(build.SolutionNet(nets.Network(solution.net.layers[:-1] + (two,)), solution.provenance), str(out))
+    capsys.readouterr()
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("verify sampled a network it cannot check")
+
+    monkeypatch.setattr(sde, "sample_brownian", no_draw)
+    assert run(["verify", "--in", str(out), "--problem", "ou_linear", "--d", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: network output dimension 2 is not 1: verify needs a scalar network\n"
+
+
+@pytest.mark.parametrize("suite", ["calculus", "bounds"])
+@pytest.mark.parametrize("seed", ["-1", "-505"])
+def test_study_negative_seed_of_default_rng_suites_exits_two_naming_the_flag(tmp_path, capsys, monkeypatch, suite, seed):
+    # calculus and bounds seed numpy's default_rng, which rejects a negative seed without naming it
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    for name in ("calculus_study", "bounds_study"):
+        monkeypatch.setattr(cli.studies, name, no_work)
+    out = tmp_path / "rows.csv"
+    assert run(["study", suite, "--seed", seed, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be at least 0 for study %s, got %s\n" % (suite, seed)
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["heat_relu", "ou_linear", "quadratic_heat"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_built_networks_have_at_least_n_m_d_parameters(name, d):
@@ -519,6 +557,7 @@ def test_solution_file_cut_inside_its_last_array_exit_two(tmp_path, capsys):
 
 
 def test_import_and_path_studies_load_no_heavy_module():
+    # build and verify may load mpmath for their bounds, and no scipy module
     # a fresh interpreter on this package's sources: this one has loaded them all
     script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "check_imports.py"
     src = str(pathlib.Path(kolmonet.__file__).resolve().parents[1])
@@ -529,5 +568,7 @@ def test_import_and_path_studies_load_no_heavy_module():
         "import kolmonet.cli: " + none,
         "kolmonet study weak --paths 200: " + none,
         "kolmonet study euler --paths 2000: " + none,
+        "kolmonet build --problem ou_linear --d 1 --N 2 --M 2 --delta 0.0625 --out ou.json: exit 0, loaded mpmath",
+        "kolmonet verify --problem ou_linear --d 1 --in ou.json: exit 0, loaded mpmath",
     ], proc.stderr
     assert proc.returncode == 0

@@ -4,7 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from kolmonet import bounds, build, nets, problems, sde
 
@@ -261,6 +264,118 @@ def test_small_or_unsplit_weights_stay_dense():
     w = _hidden_blocks_weight(gen, 40, 40, 8)
     w[:, 3] = 1.0
     assert nets._split(w) is None
+
+
+# ---------------------------------------------------------------------------
+# the split against its scipy.sparse oracle
+
+
+def _split_scipy(weight):
+    """``nets._split`` as it labelled the blocks with scipy.sparse's ``connected_components``."""
+    out, inp = weight.shape
+    if weight.size < nets._BLOCK_MIN_SIZE:
+        return None
+    i, j = np.nonzero(weight)
+    # row r of the graph lists columns out + j; np.nonzero runs row by row
+    ends = np.cumsum(np.bincount(i, minlength=out))
+    indptr = np.concatenate(([0], ends, np.full(inp, i.size)))
+    graph = csr_matrix((np.ones(i.size), out + j, indptr), shape=(out + inp, out + inp))
+    count, label = connected_components(graph, directed=False)
+    row_label, col_label = label[:out], label[out:]
+    heights = np.bincount(row_label, minlength=count)
+    widths = np.bincount(col_label, minlength=count)
+    rb, cb = int(heights.max()), int(widths.max())
+    bin_of, row_off, col_off = (np.zeros(count, dtype=np.intp) for _ in range(3))
+    b, rows, cols = -1, rb, cb
+    for k in sorted(np.flatnonzero(heights), key=lambda k: (-heights[k], -widths[k])):
+        if rows + heights[k] > rb or cols + widths[k] > cb:
+            b, rows, cols = b + 1, 0, 0
+        bin_of[k], row_off[k], col_off[k] = b, rows, cols
+        rows += heights[k]
+        cols += widths[k]
+    bins = b + 1
+    if 2 * bins * rb * cb > weight.size:
+        return None
+    row_slot = bin_of[row_label] * rb + row_off[row_label] + nets._rank(row_label, count)
+    col_at = col_off[col_label] + nets._rank(col_label, count)
+    read = heights[col_label] > 0
+    gather = np.zeros(bins * cb, dtype=np.intp)
+    gather[(bin_of[col_label] * cb + col_at)[read]] = np.flatnonzero(read)
+    src = np.full(bins * rb, out, dtype=np.intp)
+    src[row_slot] = np.arange(out)
+    stack = np.zeros((bins * rb, cb))
+    stack[row_slot[i], col_at[j]] = weight[i, j]
+    return nets._Blocks(stack.reshape(bins, rb, cb), gather, src, row_slot)
+
+
+def _assert_split_as_scipy(weight):
+    """``nets._split(weight)`` equals the oracle field by field, in dtype, shape and bytes."""
+    got, want = nets._split(weight), _split_scipy(weight)
+    assert (got is None) == (want is None)
+    for field in () if want is None else dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+    return got
+
+
+@pytest.mark.parametrize(
+    "maker, d, N, M",
+    [
+        (problems.heat_relu_problem, 1, 4, 3),
+        (problems.heat_relu_problem, 2, 3, 2),
+        (problems.heat_relu_problem, 3, 2, 2),
+        (problems.ou_linear_problem, 1, 4, 3),
+        (problems.ou_linear_problem, 2, 3, 2),
+        (problems.ou_linear_problem, 3, 2, 2),
+        (problems.quadratic_heat_problem, 1, 4, 3),
+        (problems.quadratic_heat_problem, 2, 3, 2),
+        (problems.quadratic_heat_problem, 3, 2, 2),
+    ],
+)
+def test_split_of_every_distinct_build_weight_equals_scipy(maker, d, N, M):
+    _tp, net = _build(maker, d, N, M, 2.0**-8, 2026)
+    weights = {id(layer.weight): layer.weight for layer in net.layers}.values()
+    assert sum(_assert_split_as_scipy(w) is not None for w in weights) >= 3
+
+
+def test_split_of_every_distinct_reference_weight_equals_scipy(reference):
+    _tp, net = reference
+    weights = {id(layer.weight): layer.weight for layer in net.layers}.values()
+    assert len(weights) == 29
+    # 4 weights under 256 entries and the 58 x 6 one stay dense
+    assert sum(_assert_split_as_scipy(w) is not None for w in weights) == 24
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 48),
+    st.integers(1, 48),
+    st.integers(0, 16),
+    st.floats(0.05, 1.0),
+)
+@example(seed=0, out=20, inp=30, groups=0, density=1.0)  # an all-zero weight
+def test_split_of_hidden_block_patterns_equals_scipy(seed, out, inp, groups, density):
+    # a row or a column in group `groups` is zero, and groups = 0 gives an all-zero weight
+    gen = np.random.default_rng(seed)
+    row_group = gen.integers(0, groups + 1, out)
+    col_group = gen.integers(0, groups + 1, inp)
+    mask = (row_group[:, None] == col_group[None, :]) & (row_group[:, None] < groups)
+    mask &= gen.random(mask.shape) < density
+    _assert_split_as_scipy(np.where(mask, gen.normal(size=mask.shape), 0.0))
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_split_of_a_two_thousand_node_chain_equals_scipy(shuffled):
+    # rows p[k] and p[k + 1] share column q[k]: one path through all 1,000 rows and 1,000 columns
+    gen = np.random.default_rng(21)
+    p, q = (gen.permutation(1000) for _ in range(2)) if shuffled else (np.arange(1000),) * 2
+    w = np.zeros((1000, 1000))
+    w[p, q] = gen.normal(size=1000)
+    w[p[1:], q[:-1]] = gen.normal(size=999)
+    assert _assert_split_as_scipy(w) is None  # one block
+    w[p[500], q[499]] = 0.0  # two chains of 1,000 nodes
+    assert _assert_split_as_scipy(w).stack.shape == (2, 500, 500)
 
 
 # ---------------------------------------------------------------------------

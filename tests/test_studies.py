@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
-from kolmonet import cli, problems, sde, studies
+from kolmonet import bounds, cli, problems, sde, studies
 
 _CONVERGENCE = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_convergence.py"
 
@@ -171,6 +171,29 @@ def test_strong_interp_gate_fails_a_wrong_scheme(monkeypatch, name, wrong, seed)
     assert studies.strong_interp_study(paths=20_000, seed=seed)[1]
     monkeypatch.setattr(sde, name, wrong(getattr(sde, name)))
     assert not studies.strong_interp_study(paths=20_000, seed=seed)[1]
+
+
+def _strong_interp_row_from_the_whole_fine_grid(paths, seed):
+    """The strong interpolation row from all 2N fine steps over [0, T], of which it reads two."""
+    T, d, N = 1.0, 1, studies.INTERP_STEPS
+    h = T / N
+    fine = sde.sample_brownian(seed, 2 * N, paths, d, T, np.eye(d))
+    coarse = fine.coarsen(2)
+    x0 = np.full(d, 0.5)
+    y_mid = sde.mc_values(lambda y: y, lambda y: -y, coarse.increments, T, [0.5 * h], x0[None]).reshape(paths, d)
+    z_mid = x0 + 0.5 * h * -x0 + fine.increments[:, 0]
+    sq = ((y_mid - z_mid) ** 2).sum(axis=1)
+    rms = math.sqrt(sq.mean())
+    se_rms = sq.std(ddof=1) / math.sqrt(paths) / (2.0 * rms)
+    return (N, paths, rms, se_rms, bounds.interp_error_bound(2.0, h, 1.0))
+
+
+@pytest.mark.parametrize("paths, seed", [(20_000, 0), (20_000, 3), (50_000, 7), (2, 101), (1_000, 2**64 - 1)])
+def test_strong_interp_row_equals_the_whole_fine_grid_oracle(paths, seed):
+    # the study draws the first coarse step's two fine steps: the first two of the 2N-step grid
+    (row,), _ = studies.strong_interp_study(paths=paths, seed=seed)
+    want = _strong_interp_row_from_the_whole_fine_grid(paths, seed)
+    assert np.array(row).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("wrong, line", [(False, "ok"), (True, "outside 4 standard errors")])
