@@ -31,9 +31,11 @@ ceil(N k / 4)) paths, so a chunk of short streams is one Philox pass of
 at most _CHUNK_BLOCKS blocks.  A draw of one chunk runs inline.  A draw of
 more chunks starts its own pool, one thread per CPU of the process capped
 by KOLMONET_THREADS and by the chunk count, and joins it before it
-returns: no thread outlives a draw.  Each chunk is one batched product of
-the same shape on any thread, so the bits do not depend on the thread
-count.  The calling thread allocates each thread's normals, products and
+returns: no thread outlives a draw.  A draw may fill several outputs, one
+per diffusion factor: a chunk's normals are drawn once and feed every
+factor, each through one batched product of the same shape on any
+thread, so the bits depend neither on the thread count nor on the other
+outputs.  The calling thread allocates each thread's normals, products and
 Philox state, and the threads allocate nothing large: glibc keeps a
 thread's freed blocks in that thread's heap, so temporaries made on two
 threads would raise the peak memory.
@@ -207,21 +209,30 @@ def _workers() -> int:
     return min(cpus, cap) if cap else cpus
 
 
-def _fill_increments(out: np.ndarray, seed: int, tag: int, index: np.ndarray, B: np.ndarray, scale) -> np.ndarray:
-    """Set out[i] = scale * (z_i @ B.T), where z_i are the normals of the stream (seed, tag << 48 | index[i]).
+def _fill_increments(outs, seed: int, tag: int, index: np.ndarray, Bs, scale):
+    """Set out[i] = scale * (z_i @ B.T) for each pair (out, B) of ``zip(outs, Bs)``, where z_i are the
+    normals of the stream (seed, tag << 48 | index[i]).
 
-    ``out`` has shape (rows, ..., d) and may be a view with padded rows;
-    z_i is the stream's first n = out[i].size // d * k normals, shaped
-    out[i].shape[:-1] + (k,) for the d x k matrix B.  The streams run in
+    The outputs share one shape (rows, ..., d) and may be views with padded
+    rows; the factors are d x k matrices of one k (ValueError otherwise,
+    before anything is drawn).  z_i is the stream's first n = out[i].size
+    // d * k normals, shaped out[i].shape[:-1] + (k,).  Each chunk's normals
+    are drawn once and feed every pair through the product a one-pair draw
+    runs, so each output has the bits of its own draw.  The streams run in
     chunks of max(1, _CHUNK_BLOCKS // ceil(n / 4)), each one Philox pass.
     A draw of more than one chunk runs them on a pool of at most
     ``_workers()`` threads that it starts and joins (see the module
     docstring).  The threads call only private functions, and write into
     buffers this thread allocates.  A 1 x 1 matrix B scales elementwise
-    instead of the matmul, with the same bits.  Returns ``out``.
+    instead of the matmul, with the same bits.  Returns ``outs``.
     """
-    count, d, k = len(out), out.shape[-1], B.shape[1]
-    inner = out.shape[1:-1]
+    shape, k = outs[0].shape, Bs[0].shape[1]
+    if len(outs) != len(Bs) or any(o.shape != shape for o in outs) or any(B.shape != (shape[-1], k) for B in Bs):
+        raise ValueError(
+            "need outputs of one shape and d x k factors of one k, got shapes %s and factors %s"
+            % ([o.shape for o in outs], [B.shape for B in Bs])
+        )
+    count, d, inner = shape[0], shape[-1], shape[1:-1]
     n = int(np.prod(inner, dtype=np.int64)) * k
     rows = min(count, max(1, _CHUNK_BLOCKS // -(-n // 4)))
     starts = range(0, count, rows)
@@ -237,13 +248,14 @@ def _fill_increments(out: np.ndarray, seed: int, tag: int, index: np.ndarray, B:
             z, prod = z[: hi - lo], prod[: hi - lo]
             _normals_into(z, seed, tag, index[lo:hi], scratch)
             z = z.reshape(hi - lo, *inner, k)
-            if B.shape == (1, 1):
-                # the matmul's bits without its overhead: its sum starts at +0.0, so -0.0 becomes +0.0
-                np.multiply(z, B[0, 0], out=prod)
-                prod += 0.0
-            else:
-                np.matmul(z, B.T, out=prod)
-            np.multiply(prod, scale, out=out[lo:hi])
+            for out, B in zip(outs, Bs):
+                if B.shape == (1, 1):
+                    # the matmul's bits without its overhead: its sum starts at +0.0, so -0.0 becomes +0.0
+                    np.multiply(z, B[0, 0], out=prod)
+                    prod += 0.0
+                else:
+                    np.matmul(z, B.T, out=prod)
+                np.multiply(prod, scale, out=out[lo:hi])
         finally:
             buffers.put(buf)
 
@@ -253,7 +265,7 @@ def _fill_increments(out: np.ndarray, seed: int, tag: int, index: np.ndarray, B:
     else:
         with ThreadPoolExecutor(size, thread_name_prefix="kolmonet-sampler") as pool:
             list(pool.map(chunk, starts))  # the first chunk's error, in chunk order
-    return out
+    return outs
 
 
 def sqrtm_psd(a) -> np.ndarray:
@@ -380,7 +392,7 @@ def sample_brownian(
     ):
         raise ValueError("out must be a writable float64 array of shape (%d, %d, %d)" % (M, N, d))
     index = np.arange(first, first + M, dtype=np.uint64)
-    _fill_increments(out, seed, _TAG_INCREMENTS, index, B, np.sqrt(T / N))
+    _fill_increments((out,), seed, _TAG_INCREMENTS, index, (B,), np.sqrt(T / N))
     increments = out.view()
     increments.flags.writeable = False
     return BrownianGrid(seed=seed, N=N, M=M, d=d, T=float(T), increments=increments, diffusion=B)

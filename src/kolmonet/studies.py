@@ -21,8 +21,9 @@ from . import bounds, build, nets, problems, sde
 INTERP_STEPS = 8
 # Fine steps per coarse step of the weak error study's oracle.
 WEAK_REFINE = 64
-# Dimensions of the scheme moment rows.
+# Dimensions and grid steps of the scheme moment rows.
 MOMENT_DIMS = (1, 2, 5)
+MOMENT_STEPS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -127,30 +128,58 @@ def moment_study(q: float = 2.0, paths: int = 20_000, seed: int = 202):
     """Scheme moments on a 16-step grid against the a-priori bound, and pathwise growth envelopes.
 
     Rows: (problem, d, q, empirical, std_error, bound, envelope_violations).
+    The heat_relu and ou_linear rows at one d read the same normals, scaled
+    by their own B, so each d draws them once into two views of one flat
+    buffer, sized for the largest d.
     """
-    rows = []
-    ok = True
-    for name in ("heat_relu", "ou_linear"):
-        for d in MOMENT_DIMS:
-            row, row_ok = _moment_row(name, d, q, paths, seed)
-            ok = ok and row_ok
-            rows.append(row)
-    return rows, ok
+    names = ("heat_relu", "ou_linear")
+    buffer = np.empty(len(names) * paths * sde._row_values(MOMENT_STEPS, max(MOMENT_DIMS)))
+    per_d = [_moment_rows(names, d, q, paths, seed, buffer) for d in MOMENT_DIMS]
+    rows = [row for per_name in zip(*per_d) for row in per_name]  # each problem's rows, d by d
+    return [row for row, _ in rows], all(row_ok for _, row_ok in rows)
 
 
-def _moment_row(name: str, d: int, q: float, paths: int, seed: int):
-    # one function per row, so that a row's path arrays are freed before the next row's
-    tp = problems.get_problem(name, d)
-    pb = tp.problem
-    noise = sde.sample_brownian(seed + d, 16, paths, d, pb.T, pb.B)
+def _moment_rows(names, d: int, q: float, paths: int, seed: int, buffer):
+    # one function per d, so that its views of the buffer are gone before the next d's draw
+    pbs = [problems.get_problem(name, d).problem for name in names]
+    (T,) = {pb.T for pb in pbs}  # one horizon, so one scale for every row's increments
+    views = sde._path_rows(len(pbs) * paths, MOMENT_STEPS, d, buffer)
+    incs = [views[i * paths : (i + 1) * paths] for i in range(len(pbs))]
+    index = np.arange(paths, dtype=np.uint64)
+    # sample_brownian(seed + d, MOMENT_STEPS, paths, d, T, pb.B) for every pb, from one draw
+    sde._fill_increments(incs, seed + d, sde._TAG_INCREMENTS, index, [pb.B for pb in pbs], np.sqrt(T / MOMENT_STEPS))
+    return [_moment_row(name, pb, inc, q) for name, pb, inc in zip(names, pbs, incs)]
+
+
+def _moment_norms(x0, drift, increments, T: float):
+    """The (paths, N+1) norms ||Y_n|| of the Euler states and ||sum_{k<n} dW_k|| of the noise walk.
+
+    Step by step, beside the recursion: the walk's norms are those of
+    ``sde.walk_norms(increments)``, bitwise, from a running (paths, d)
+    partial sum instead of its (paths, N+1, d) array.
+    """
+    paths, N, d = increments.shape
+    norms, walk = np.empty((paths, N + 1)), np.zeros((paths, N + 1))
+    partial, square = np.zeros((paths, d)), np.empty((paths, d))
+    for n, y in enumerate(sde.euler_states(x0, drift, increments, T)):
+        norms[:, n] = np.linalg.norm(y, axis=1)
+        if n < N:
+            partial += increments[:, n]
+            np.multiply(partial, partial, out=square)
+            np.sqrt(np.add.reduce(square, axis=-1), out=walk[:, n + 1])
+    return norms, walk
+
+
+def _moment_row(name: str, pb, increments, q: float):
+    paths, N, d = increments.shape
     x0 = np.full(d, 0.5)
-    states = sde.euler_states(x0, pb.drift_net, noise.increments, pb.T)
-    norms = np.stack([np.linalg.norm(y, axis=1) for y in states], axis=1)  # (paths, N+1)
+    norms, walk = _moment_norms(x0, pb.drift_net, increments, pb.T)
     powq = norms**q
     means = powq.mean(axis=0)
     n_star = int(np.argmax(means))
     emp = means[n_star] ** (1.0 / q)
     se = powq[:, n_star].std(ddof=1) / math.sqrt(paths)
+    del powq  # before the envelope is formed: the row runs beside both rows' increments
     se_emp = se / (q * emp ** (q - 1.0)) if emp > 0 else se
     trace = float(np.trace(pb.B @ pb.B.T))
     C, c = pb.params.C, pb.params.c
@@ -161,10 +190,13 @@ def _moment_row(name: str, d: int, q: float, paths: int, seed: int):
         pb.T,
         bounds.gaussian_moment_bound(q, pb.T * trace),
     )
-    # pathwise Gronwall envelope on the grid
-    running_max = np.maximum.accumulate(sde.walk_norms(noise.increments), axis=1)
-    envelope = bounds.drift_growth_envelope(np.linalg.norm(x0), C, c, noise.grid[None, :], running_max)
-    violations = int((norms > envelope * (1 + 1e-12) + 1e-12).sum())
+    # pathwise Gronwall envelope on the grid, of the walk's running maximum, formed in place
+    running_max = np.maximum.accumulate(walk, axis=1, out=walk)
+    grid = np.arange(N + 1) * (pb.T / N)
+    envelope = bounds.drift_growth_envelope(np.linalg.norm(x0), C, c, grid[None, :], running_max)
+    envelope *= 1 + 1e-12
+    envelope += 1e-12
+    violations = int((norms > envelope).sum())
     row_ok = emp <= bound + 3.0 * se_emp and violations == 0
     return (name, d, q, emp, se_emp, bound, violations), row_ok
 
@@ -266,7 +298,7 @@ def _mc_euler_functional_errors(tp, N, M, K, seed):
     index = np.arange(K, dtype=np.uint64)
     for s in chunks:
         inc = buffer[: s.stop - s.start]
-        sde._fill_increments(inc, seed, sde._TAG_POINT_PATHS, index[s], pb.B, math.sqrt(pb.T / N))
+        sde._fill_increments((inc,), seed, sde._TAG_POINT_PATHS, index[s], (pb.B,), math.sqrt(pb.T / N))
         vals = sde.mc_values(pb.init_net, pb.drift_net, inc, pb.T, ts[s], xs[s]).mean(axis=1)
         sq_errors[s] = (vals - u_vals[s]) ** 2
     return sq_errors

@@ -489,25 +489,6 @@ def test_build_and_verify_script_runs_build_then_verify(tmp_path, capsys, monkey
     assert (tmp_path / "direct.json").read_bytes() == out.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "argv, want",
-    [
-        ([], ["study", "bounds", "--seed", "505", "--out", "bounds_report.csv"]),
-        (["--seed", "7", "--out", "r.csv"], ["study", "bounds", "--seed", "7", "--out", "r.csv"]),
-    ],
-)
-@pytest.mark.parametrize("code", [0, 1])
-def test_run_bounds_report_script_is_study_bounds(monkeypatch, argv, want, code):
-    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_report.py"
-    seen = []
-    monkeypatch.setattr(cli, "main", lambda args: seen.append(args) or code)
-    monkeypatch.setattr(sys, "argv", [str(script)] + argv)
-    with pytest.raises(SystemExit) as exit_:
-        runpy.run_path(str(script), run_name="__main__")
-    assert exit_.value.code == code
-    assert seen == [want]
-
-
 def test_plan_prints_a_buildable_budget(capsys):
     assert run(["plan", "--d", "1", "--eps", "1", "--kappa", "0.5"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -222,7 +222,7 @@ def test_one_by_one_diffusion_scales_with_the_matmul_bits(monkeypatch, n, b):
     z = np.resize([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1.0, -0.7, 3.9, -8.2], (5, n))
     monkeypatch.setattr(sde, "_normals_into", lambda out, *args: np.copyto(out, z))
     B, scale = np.array([[b]]), math.sqrt(0.5 / n)
-    got = sde._fill_increments(np.empty((5, n, 1)), 0, 1, np.arange(5, dtype=np.uint64), B, scale)
+    (got,) = sde._fill_increments((np.empty((5, n, 1)),), 0, 1, np.arange(5, dtype=np.uint64), (B,), scale)
     want = np.matmul(z.reshape(5, n, 1), B.T) * scale
     assert got.tobytes() == want.tobytes()
     assert not np.signbit(got[0, :2]).any()  # z = +-0.0: the matmul's sum starts at +0.0
@@ -359,16 +359,21 @@ def test_sample_brownian_bits_do_not_depend_on_the_thread_count(monkeypatch, poo
 
 @pytest.mark.parametrize("N", [3, 600])
 def test_sampler_threads_beyond_the_cpus_keep_their_buffers_apart(monkeypatch, pool_size, N):
-    # more threads than CPUs, switching every microsecond: a buffer two chunks shared would mix their paths
+    # more threads than CPUs, switching every microsecond: a buffer two chunks shared would mix their paths,
+    # and a product buffer two outputs of a chunk shared would mix their factors
     monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 8)
     pool_size(1)
     want = sde.sample_brownian(12, N, 200, 2, 1.0).increments
+    Bs, index = (np.eye(2), np.array([[2.0, 0.0], [1.0, -1.0]])), np.arange(200, dtype=np.uint64)
+    shared = sde._fill_increments([np.empty((200, N, 2)) for _ in Bs], 12, 1, index, Bs, np.sqrt(1.0 / N))
     pool_size(6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             assert np.array_equal(sde.sample_brownian(12, N, 200, 2, 1.0).increments, want)
+            outs = sde._fill_increments([np.empty((200, N, 2)) for _ in Bs], 12, 1, index, Bs, np.sqrt(1.0 / N))
+            assert all(np.array_equal(out, w) for out, w in zip(outs, shared))
     finally:
         sys.setswitchinterval(interval)
 
@@ -376,15 +381,62 @@ def test_sampler_threads_beyond_the_cpus_keep_their_buffers_apart(monkeypatch, p
 @pytest.mark.parametrize("size", [1, 2, 3])
 @pytest.mark.parametrize("M, N", [(16, 16), (3, 256)])  # short and long point streams
 def test_point_path_increments_do_not_depend_on_the_thread_count(monkeypatch, pool_size, size, M, N):
-    # the MC Euler functional study's draw: point i's M paths are one stream, scaled after B
+    # the MC Euler functional study's draw: point i's M paths are one stream, scaled after B;
+    # a second factor filled from the same draw has the oracle's bits of its own
     monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 64)
     pool_size(size)
-    B = np.array([[1.0, 0.5], [0.25, 2.0]])
+    Bs = (np.array([[1.0, 0.5], [0.25, 2.0]]), np.array([[-0.5, 3.0], [1.5, 0.0]]))
     index = np.arange(9, 40, dtype=np.uint64)
-    got = sde._fill_increments(np.empty((len(index), M, N, 2)), 4, 7, index, B, math.sqrt(0.5 / N))
-    want = _philox_normals(4, 7, index, M * N * 2).reshape(len(index) * M, N, 2) @ B.T
-    want *= math.sqrt(0.5 / N)
-    assert np.array_equal(got, want.reshape(got.shape))
+    outs = tuple(np.empty((len(index), M, N, 2)) for _ in Bs)
+    assert sde._fill_increments(outs, 4, 7, index, Bs, math.sqrt(0.5 / N)) is outs
+    z = _philox_normals(4, 7, index, M * N * 2).reshape(len(index) * M, N, 2)
+    for got, B in zip(outs, Bs):
+        want = z @ B.T
+        want *= math.sqrt(0.5 / N)
+        assert np.array_equal(got, want.reshape(got.shape))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("N", [16, 600])  # 16 d words a path: vectorized Philox; 600 d: the per-path generator
+@pytest.mark.parametrize(
+    "Bs", [(np.array([[math.sqrt(2.0)]]), np.eye(1)), (np.array([[1.0, 0.5], [0.0, 2.0]]), np.eye(2))]
+)
+def test_each_output_of_a_shared_draw_is_a_one_output_draw(monkeypatch, pool_size, size, N, Bs):
+    # the moment study's draw: one set of normals, scaled by the heat and OU factors
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 64)  # several chunks of the 37 paths on both branches
+    pool_size(size)
+    M, d, index = 37, len(Bs[0]), np.arange(3, 40, dtype=np.uint64)
+    buffer = np.full(len(Bs) * M * sde._row_values(N, d) + 5, np.nan)
+    views = sde._path_rows(len(Bs) * M, N, d, buffer)
+    outs = [views[i * M : (i + 1) * M] for i in range(len(Bs))]
+    sde._fill_increments(outs, 11, 1, index, Bs, math.sqrt(0.7 / N))
+    for out, B in zip(outs, Bs):
+        (alone,) = sde._fill_increments((sde._path_rows(M, N, d),), 11, 1, index, (B,), math.sqrt(0.7 / N))
+        assert out.tobytes() == alone.tobytes()
+        assert out.tobytes() == sde.sample_brownian(11, N, M, d, 0.7, B, first=3).increments.tobytes()
+    assert np.isnan(buffer[len(Bs) * M * sde._row_values(N, d) :]).all()
+
+
+@pytest.mark.parametrize(
+    "shapes, factors",
+    [
+        ([(4, 3, 2), (4, 3, 2)], [(2, 2), (2, 1)]),  # two column counts k
+        ([(4, 3, 2), (5, 3, 2)], [(2, 2), (2, 2)]),  # two output shapes
+        ([(4, 3, 2), (4, 3, 1)], [(2, 2), (1, 2)]),  # two dimensions d
+        ([(4, 3, 2)], [(3, 2)]),  # a factor of 3 rows for d = 2
+        ([(4, 3, 2), (4, 3, 2)], [(2, 2)]),  # an output without its factor
+    ],
+)
+def test_a_shared_draw_of_mismatched_outputs_or_factors_raises_before_drawing(monkeypatch, pool_size, shapes, factors):
+    def no_draw(*args):
+        raise AssertionError("drew for mismatched outputs")
+
+    monkeypatch.setattr(sde, "_normals_into", no_draw)
+    monkeypatch.setattr(sde, "_scratch", no_draw)
+    pool_size(2)
+    outs = [np.empty(shape) for shape in shapes]
+    with pytest.raises(ValueError, match="need outputs of one shape and d x k factors of one k"):
+        sde._fill_increments(outs, 1, 1, np.arange(shapes[0][0], dtype=np.uint64), [np.ones(f) for f in factors], 1.0)
 
 
 @pytest.mark.parametrize("n", [4, 600])

@@ -1,6 +1,7 @@
 """The domination suite: every bound beats its matched empirical quantity."""
 
 import dataclasses
+import hashlib
 import math
 import pathlib
 import runpy
@@ -92,10 +93,71 @@ def test_weak_study_holds_one_chunk_at_a_time(monkeypatch):
 
 def test_mc_euler_functional_holds_one_chunk_at_a_time(monkeypatch):
     monkeypatch.setattr(sde, "_MC_CHUNK_ELEMENTS", 37 * 8 * 5)  # 9 chunks of 37 points, the last of 4
-    alive, owners = _record_draws(monkeypatch, sde, "_fill_increments", lambda inc, *args: inc, lambda inc: [inc])
+    alive, owners = _record_draws(monkeypatch, sde, "_fill_increments", lambda outs, *args: outs[0], list)
     studies._mc_euler_functional_errors(problems.heat_relu_problem(1), 4, 8, 300, seed=404)
     assert len(alive) == 9 and alive == [0] * 9
     assert owners[0] is not None and all(o is owners[0] for o in owners)
+
+
+def test_moment_study_draws_each_d_once_into_one_buffer(monkeypatch):
+    # both rows of a d come from one draw into two views of one buffer, and no earlier d's views are alive
+    bases = []
+    alive, owners = _record_draws(
+        monkeypatch, sde, "_fill_increments", lambda outs, *args: bases.extend(o.base for o in outs) or outs[0], list
+    )
+    studies.moment_study(paths=3000, seed=202)
+    assert len(alive) == len(studies.MOMENT_DIMS) == 3 and alive == [0] * 3
+    assert len(bases) == 6 and owners[0] is not None and all(b is owners[0] for b in bases)
+
+
+def _moment_row_oracle(name, d, q, paths, seed):
+    """A row as the study computed it with a draw of its own and ``sde.walk_norms``."""
+    pb = problems.get_problem(name, d).problem
+    noise = sde.sample_brownian(seed + d, 16, paths, d, pb.T, pb.B)
+    x0 = np.full(d, 0.5)
+    states = sde.euler_states(x0, pb.drift_net, noise.increments, pb.T)
+    norms = np.stack([np.linalg.norm(y, axis=1) for y in states], axis=1)
+    powq = norms**q
+    means = powq.mean(axis=0)
+    n_star = int(np.argmax(means))
+    emp = means[n_star] ** (1.0 / q)
+    se = powq[:, n_star].std(ddof=1) / math.sqrt(paths)
+    se_emp = se / (q * emp ** (q - 1.0)) if emp > 0 else se
+    trace = float(np.trace(pb.B @ pb.B.T))
+    C, c = pb.params.C, pb.params.c
+    moment = bounds.gaussian_moment_bound(q, pb.T * trace)
+    bound = bounds.apriori_sde_bound(float(np.linalg.norm(x0)), C, c, pb.T, moment)
+    running_max = np.maximum.accumulate(sde.walk_norms(noise.increments), axis=1)
+    envelope = bounds.drift_growth_envelope(np.linalg.norm(x0), C, c, noise.grid[None, :], running_max)
+    violations = int((norms > envelope * (1 + 1e-12) + 1e-12).sum())
+    return (name, d, q, emp, se_emp, bound, violations), emp <= bound + 3.0 * se_emp and violations == 0
+
+
+@pytest.mark.parametrize("q, paths, seed", [(2.0, 3000, 202), (4.0, 3000, 7), (2.0, 20_000, 506)])
+def test_moment_rows_of_one_shared_draw_are_the_rows_of_their_own_draws(q, paths, seed):
+    rows, ok = studies.moment_study(q=q, paths=paths, seed=seed)
+    want = [_moment_row_oracle(name, d, q, paths, seed) for name in ("heat_relu", "ou_linear") for d in (1, 2, 5)]
+    assert rows == [row for row, _ in want] and ok == all(row_ok for _, row_ok in want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_step_wise_walk_norms_are_walk_norms_bitwise(d):
+    # the moment study's increments, and signed zeros, subnormals and large values
+    pb, x0 = problems.heat_relu_problem(d).problem, np.full(d, 0.5)
+    drawn = sde.sample_brownian(9, 16, 500, d, pb.T, pb.B).increments
+    edge = np.resize([0.0, -0.0, 5e-324, -2.5e-310, 1e150, -3.0, 0.7, 1e-160], (40, 16, d))
+    for inc in (drawn, edge):
+        norms, walk = studies._moment_norms(x0, pb.drift_net, inc, pb.T)
+        assert walk.tobytes() == sde.walk_norms(inc).tobytes()
+        states = sde.euler_states(x0, pb.drift_net, inc, pb.T)
+        assert norms.tobytes() == np.stack([np.linalg.norm(y, axis=1) for y in states], axis=1).tobytes()
+
+
+def test_study_euler_stdout_is_pinned(capsys):
+    # the moment rows print only the walk norms' violation count, so the rows are pinned whole
+    assert cli.main(["study", "euler", "--paths", "20000"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == "327a560667f31f833afaadcdf6e43545115820f418ee752aa2a42c615a7a301b"
 
 
 @pytest.mark.parametrize("elements", [800, 5 * 800, 1 << 22])
