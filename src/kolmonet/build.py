@@ -40,6 +40,7 @@ quadratic parameter budget.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -263,6 +264,23 @@ def solve(problem: PdeProblem, budget: Budget, seed: int) -> SolutionNet:
     return build_mc_average_net(problem, budget, noise)
 
 
+def _header(solution: SolutionNet) -> str:
+    """The document up to its network; ValueError where the reader would
+    reject a provenance value."""
+    try:
+        # the reader rejects NaN and +-inf, so the writer refuses them too
+        provenance = json.dumps(solution.provenance, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError("provenance holds a value the reader rejects: %s" % exc) from None
+    return '{"format": "kolmonet-solution", "version": 1, "provenance": %s, "network": ' % provenance
+
+
+def _write_solution(fh, header: str, net: Network):
+    fh.write(header)
+    nets.write_network(fh, net)
+    fh.write("}")
+
+
 def serialize(solution: SolutionNet) -> bytes:
     """Versioned text form: provenance block plus the network document.
 
@@ -270,19 +288,8 @@ def serialize(solution: SolutionNet) -> bytes:
     identical builds serialize to identical bytes.  A non-finite value in
     the provenance raises ValueError, as it would on reading.
     """
-    import io
-
     buf = io.StringIO()
-    try:
-        # the reader rejects NaN and +-inf, so the writer refuses them too
-        provenance = json.dumps(solution.provenance, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ValueError("provenance holds a value the reader rejects: %s" % exc) from None
-    buf.write('{"format": "kolmonet-solution", "version": 1, "provenance": ')
-    buf.write(provenance)
-    buf.write(', "network": ')
-    nets.write_network(buf, solution.net)
-    buf.write("}")
+    _write_solution(buf, _header(solution), solution.net)
     return buf.getvalue().encode()
 
 
@@ -366,19 +373,23 @@ def deserialize(data: bytes) -> SolutionNet:
 
 
 def save_solution(solution: SolutionNet, path):
-    """Write ``serialize(solution)`` to ``path``.
+    """Write the bytes of ``serialize(solution)`` to ``path``, streamed.
 
-    An existing regular file is rewritten in place and then truncated to
-    the new length, which is much cheaper than truncating it first on
-    filesystems that discard freed blocks; the file ends up holding exactly
-    the new bytes.  A new file gets the mode ``open(path, "wb")`` gives it,
-    and other targets (``/dev/null``, a pipe) are written as that would.
+    The provenance and every distinct array of the network are checked
+    before the file is opened, so a solution the writer refuses leaves the
+    target as it was.  An existing regular file is rewritten in place and
+    then truncated to the new length, which is much cheaper than
+    truncating it first on filesystems that discard freed blocks; the file
+    ends up holding exactly the new bytes.  A new file gets the mode
+    ``open(path, "wb")`` gives it, and other targets (``/dev/null``, a
+    pipe) are written as that would.
     """
-    data = serialize(solution)
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
+    header = _header(solution)
+    nets.check_writable(solution.net)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="ascii", newline="") as fh:
+        _write_solution(fh, header, solution.net)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate(len(data))
+            fh.truncate(fh.tell())
 
 
 def load_solution(path) -> SolutionNet:

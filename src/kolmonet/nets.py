@@ -214,39 +214,47 @@ def _split(weight):
 
 
 def _realize_plan(net):
-    """Per layer: (gather, weight or bin stack, bias, blocked); then the
-    output gather and the tallest hidden activation from the first block
-    layer on.
+    """Per layer: (gather, weight or bin stack, bias or None, blocked);
+    then the output gather, the height R of the activation buffers and the
+    longest gather.
 
-    A block layer leaves its outputs in bin order.  The next block layer
-    folds that order into its gather, and a dense layer or the output
-    gathers the features back into order.  Each distinct weight is split
-    once, and each gather and permuted bias is formed once per distinct
-    pair of arrays.
+    Each distinct weight is split once.  A block layer's stack carries its
+    bias as one more column (0 on padding rows), formed once per distinct
+    pair of bias bytes and blocks, and its gather reads that column's
+    input from row R, the ones row that sits below the tallest activation
+    from the first block layer on.  A block layer leaves its outputs in
+    bin order: the next block layer folds that order into its gather, and
+    a dense layer or the output gathers the features back into order.
     """
-    splits, gathers, biases = {}, {}, {}
-    steps, prev = [], None
+    splits = {}
     for layer in net.layers:
-        w, bias = layer.weight, layer.bias
-        if id(w) not in splits:
-            splits[id(w)] = _split(w)
-        blocks = splits[id(w)]
-        if blocks is None:
-            step = (None if prev is None else prev.position, w, bias, False)
-        else:
-            key = (id(prev), id(blocks))
-            if key not in gathers:
-                gathers[key] = blocks.cols if prev is None else prev.position[blocks.cols]
-            gather = gathers[key]
-            key = (id(bias), id(blocks))
-            if key not in biases:
-                biases[key] = np.append(bias, 0.0)[blocks.src][:, None]
-            step = (gather, blocks.stack, biases[key], True)
-        steps.append(step)
-        prev = blocks
-    first = next((k for k, step in enumerate(steps) if step[3]), len(steps))
-    height = max((len(step[2]) for step in steps[first:-1]), default=0)
-    return steps, None if prev is None else prev.position, height
+        if id(layer.weight) not in splits:
+            splits[id(layer.weight)] = _split(layer.weight)
+    blocks = [splits[id(layer.weight)] for layer in net.layers]
+    first = next((k for k, b in enumerate(blocks) if b is not None), len(blocks))
+    if first == len(blocks):
+        return [(None, l.weight, l.bias, False) for l in net.layers], None, 0, 0
+    height = max(
+        [net.layers[first].in_dim]
+        + [l.out_dim if b is None else len(b.src) for l, b in zip(net.layers[first:], blocks[first:])]
+    )
+    gathers, stacks, steps = {}, {}, []
+    for layer, prev, b in zip(net.layers, [None] + blocks, blocks):
+        if b is None:
+            steps.append((None if prev is None else prev.position, layer.weight, layer.bias, False))
+            continue
+        bins, rb, cb = b.stack.shape
+        pair = (id(prev), id(b))
+        if pair not in gathers:
+            cols = b.cols if prev is None else prev.position[b.cols]
+            gathers[pair] = np.column_stack([cols.reshape(bins, cb), np.full(bins, height)]).ravel()
+        key = (layer.bias.tobytes(), id(b))
+        if key not in stacks:
+            column = np.append(layer.bias, 0.0)[b.src].reshape(bins, rb, 1)
+            stacks[key] = np.concatenate([b.stack, column], axis=2)
+        steps.append((gathers[pair], stacks[key], None, True))
+    width = max(len(step[0]) for step in steps[first:] if step[0] is not None)
+    return steps, None if blocks[-1] is None else blocks[-1].position, height, width
 
 
 def realize(net: Network, x):
@@ -274,31 +282,50 @@ def realize(net: Network, x):
             % (x.shape[1], net.in_dim)
         )
     n = x.shape[0]
-    steps, final, height = net._plan
+    steps, final, height, width = net._plan
+    last = len(steps) - 1
     # Activations run as (n, features) until the first block layer and as
-    # (features, n) from there on, so each block gathers whole rows.  The
+    # (features, n) from there on, so each block gathers whole rows.  From
+    # there on a layer reads one of two buffers and writes into the other,
+    # and they swap (a dense last layer makes its own array); their row
+    # R = height stays 1 for the bias column of a block layer's stack.  The
     # rectifier runs about 3x faster against an array of zeros than against
-    # 0.0, but a fresh array costs its page faults on each call, which only
-    # the many layers from the first block layer on earn back: the drift
-    # nets an Euler loop realizes per step have two layers and no blocks.
-    zeros = np.zeros(height * n)
+    # 0.0.  A network without block layers, such as the drift nets an Euler
+    # loop realizes once per step, allocates none of this.
+    if height:
+        src, dst = np.empty((2, height + 1, n))
+        src[height] = dst[height] = 1.0
+        gathered = np.empty(width * n)
+        zeros = np.zeros((height, n))
     z, rows = x, False
     for k, (gather, op, bias, blocked) in enumerate(steps):
         if blocked:
-            z = (z if rows else z.T).take(gather, axis=0)
+            if not rows:
+                np.copyto(src[: z.shape[1]], z.T)
+                rows = True
             bins, rb, cb = op.shape
-            z = np.matmul(op, z.reshape(bins, cb, n)).reshape(bins * rb, n)
-            rows = True
+            g = gathered[: bins * cb * n].reshape(bins * cb, n)
+            np.take(src, gather, axis=0, out=g, mode="clip")
+            z = dst[: bins * rb]
+            # the bias column meets the ones row as the last term of each sum
+            np.matmul(op, g.reshape(bins, cb, n), out=z.reshape(bins, rb, n))
         elif rows:
-            if gather is not None:
-                z = z.take(gather, axis=0)
-            z = op @ z
-            bias = bias[:, None]
+            if gather is None:
+                g = src[: op.shape[1]]
+            else:
+                g = gathered[: len(gather) * n].reshape(len(gather), n)
+                np.take(src, gather, axis=0, out=g, mode="clip")
+            z = op @ g if k == last else np.matmul(op, g, out=dst[: len(op)])
+            z += bias[:, None]
         else:
             z = z @ op.T
-        z += bias
-        if k < len(steps) - 1:
-            np.maximum(z, zeros[: z.size].reshape(z.shape) if rows else 0.0, out=z)
+            z += bias
+        if k < last:
+            if rows:
+                np.maximum(z, zeros[: len(z)], out=z)
+                src, dst = dst, src
+            else:
+                np.maximum(z, 0.0, out=z)
     if final is not None:
         z = z.take(final, axis=0)
     if rows:
@@ -617,6 +644,16 @@ def _fmt_values(a: np.ndarray) -> str:
     return ", ".join(tokens[inverse.ravel()].tolist())
 
 
+def check_writable(net: Network):
+    """Raise the ValueError ``write_network`` would raise on ``net``, before
+    anything is written: a bias with a member axis or a non-finite value."""
+    _require_single(net, "write")
+    arrays = {id(a): a for layer in net.layers for a in (layer.weight, layer.bias)}
+    for a in arrays.values():
+        if not np.isfinite(a).all():
+            raise ValueError("cannot serialize non-finite value %r" % a[~np.isfinite(a)][0].item())
+
+
 def write_network(fh, net: Network):
     """Write the versioned text form of ``net`` to the text stream ``fh``.
 
@@ -627,16 +664,22 @@ def write_network(fh, net: Network):
     formatting every entry in row-major order.
     """
     _require_single(net, "write")
-    # Keyed by the array's bytes alone (Layer stores float64): the text is
-    # the flat row-major join, so arrays with equal bytes write equal text
-    # whatever their shapes.  A failed format raises before it is stored.
-    texts = {}
+    # Keyed by the array's identity, then by its bytes (Layer stores
+    # float64): the text is the flat row-major join, so arrays with equal
+    # bytes write equal text whatever their shapes.  The network holds every
+    # array for the length of the call, so no two of them share an id.  A
+    # failed format raises before it is stored.
+    texts, by_id = {}, {}
 
     def text(a):
-        key = a.tobytes()
-        if key not in texts:
-            texts[key] = _fmt_values(a)
-        return texts[key]
+        hit = by_id.get(id(a))
+        if hit is None:
+            key = a.tobytes()
+            hit = texts.get(key)
+            if hit is None:
+                hit = texts[key] = _fmt_values(a)
+            by_id[id(a)] = hit
+        return hit
 
     fh.write('{"version": %d, "dims": %s, "layers": [' % (
         NETWORK_FORMAT_VERSION, json.dumps(list(net.dims))))

@@ -369,6 +369,26 @@ def test_serialize_refuses_non_finite_provenance(tmp_path):
     assert not new.exists()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["weight", "bias"])
+def test_save_solution_refuses_a_non_finite_network_before_opening(tmp_path, field, value):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_bytes(b"an earlier build")
+    tp = problems.ou_linear_problem(1)
+    sol = build.solve(tp.problem, bounds.Budget(N=2, M=2, delta=2.0**-4), seed=31415)
+    layers = list(sol.net.layers)
+    k = len(layers) - 2  # a later layer: the writer would have written most of the file by then
+    arrays = {"weight": np.array(layers[k].weight), "bias": np.array(layers[k].bias)}
+    arrays[field].flat[-1] = value
+    layers[k] = nets.Layer(**arrays)
+    bad = build.SolutionNet(nets.Network(tuple(layers)), sol.provenance)
+    for path in (old, new):
+        with pytest.raises(ValueError, match="non-finite"):
+            build.save_solution(bad, path)
+    assert old.read_bytes() == b"an earlier build"
+    assert not new.exists()
+
+
 def test_build_with_an_error_bound_beyond_float_range_raises():
     # at kappa = 8, d = 10 the error bound is near 3e383: the build stops with its log10
     # rather than hand the writer a provenance that holds inf

@@ -1,6 +1,10 @@
 """Block-structured realize: equality with the dense loop, plans, exactness contracts."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+import kolmonet
 from kolmonet import bounds, build, nets, problems, sde
 
 EPS = np.finfo(np.float64).eps
@@ -25,6 +30,66 @@ def _realize_dense(net, x):
     last = net.layers[-1]
     x = x @ last.weight.T + last.bias
     return x[0] if single else x
+
+
+def _realize_plan_old(net):
+    """``nets._realize_plan`` before the bias rode in the bin product: a (rows, 1) bias per layer."""
+    splits, gathers, biases = {}, {}, {}
+    steps, prev = [], None
+    for layer in net.layers:
+        w, bias = layer.weight, layer.bias
+        if id(w) not in splits:
+            splits[id(w)] = nets._split(w)
+        blocks = splits[id(w)]
+        if blocks is None:
+            step = (None if prev is None else prev.position, w, bias, False)
+        else:
+            key = (id(prev), id(blocks))
+            if key not in gathers:
+                gathers[key] = blocks.cols if prev is None else prev.position[blocks.cols]
+            gather = gathers[key]
+            key = (id(bias), id(blocks))
+            if key not in biases:
+                biases[key] = np.append(bias, 0.0)[blocks.src][:, None]
+            step = (gather, blocks.stack, biases[key], True)
+        steps.append(step)
+        prev = blocks
+    first = next((k for k, step in enumerate(steps) if step[3]), len(steps))
+    height = max((len(step[2]) for step in steps[first:-1]), default=0)
+    return steps, None if prev is None else prev.position, height
+
+
+def _realize_old(net, x):
+    """``nets.realize`` before it reused its buffers: a product, then ``z += bias``, per layer."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    n = x.shape[0]
+    steps, final, height = _realize_plan_old(net)
+    zeros = np.zeros(height * n)
+    z, rows = x, False
+    for k, (gather, op, bias, blocked) in enumerate(steps):
+        if blocked:
+            z = (z if rows else z.T).take(gather, axis=0)
+            bins, rb, cb = op.shape
+            z = np.matmul(op, z.reshape(bins, cb, n)).reshape(bins * rb, n)
+            rows = True
+        elif rows:
+            if gather is not None:
+                z = z.take(gather, axis=0)
+            z = op @ z
+            bias = bias[:, None]
+        else:
+            z = z @ op.T
+        z += bias
+        if k < len(steps) - 1:
+            np.maximum(z, zeros[: z.size].reshape(z.shape) if rows else 0.0, out=z)
+    if final is not None:
+        z = z.take(final, axis=0)
+    if rows:
+        z = z.T
+    return z[0] if single else z
 
 
 def _blocked(net):
@@ -90,13 +155,15 @@ def test_builds_match_dense(maker, d, N, M, delta, seed, bitwise):
 
 
 @st.composite
-def hidden_block_net(draw):
+def hidden_block_net(draw, exact=False):
     """A random net whose weights are blocks hidden by row and column permutations.
 
     Each row and each column joins one of a few groups or none; an entry is
     nonzero only where its row and column share a group, and then with
     probability 3/4.  Rows and columns in no group are zero rows and zero
-    columns, and groups may be empty on either side.
+    columns, and groups may be empty on either side.  With ``exact`` the
+    entries and biases are integers in [-4, 4], so on integer inputs every
+    sum is exact whatever order BLAS adds its terms in.
     """
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dims = [draw(st.integers(1, 40)) for _ in range(draw(st.integers(2, 5)))]
@@ -107,8 +174,13 @@ def hidden_block_net(draw):
         col_group = gen.integers(0, groups + 1, dims[k])
         mask = (row_group[:, None] == col_group[None, :]) & (row_group[:, None] < groups)
         mask &= gen.random(mask.shape) < 0.75
-        weight = np.where(mask, gen.normal(size=mask.shape), 0.0)
-        layers.append(nets.Layer(weight, gen.normal(size=dims[k + 1])))
+        if exact:
+            weight = np.where(mask, gen.integers(-4, 5, mask.shape), 0.0)
+            bias = gen.integers(-4, 5, dims[k + 1]).astype(np.float64)
+        else:
+            weight = np.where(mask, gen.normal(size=mask.shape), 0.0)
+            bias = gen.normal(size=dims[k + 1])
+        layers.append(nets.Layer(weight, bias))
     return nets.Network(tuple(layers))
 
 
@@ -187,6 +259,102 @@ def test_empty_batch(blocked):
 
 
 # ---------------------------------------------------------------------------
+# bitwise equality with realize before the bias rode in the bin product
+
+
+def _assert_as_old(net, x):
+    got, want = nets.realize(net, x), _realize_old(net, x)
+    assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+
+def test_reference_gives_the_old_bits(reference):
+    tp, net = reference
+    x = _points(tp, 4096, 5)
+    for n in (0, 1, 100, 512, 4096):
+        _assert_as_old(net, x[:n])
+
+
+@pytest.mark.parametrize(
+    "maker, d, N, M, delta, seed",
+    [
+        (problems.heat_relu_problem, 2, 3, 2, 2.0**-8, 2026),
+        (problems.heat_relu_problem, 1, 8, 1, 2.0**-8, 2026),  # M = 1
+        (problems.heat_relu_problem, 2, 1, 1, 2.0**-3, 9),  # N = M = 1
+        (problems.ou_linear_problem, 1, 4, 3, 2.0**-8, 2026),
+        (problems.ou_linear_problem, 2, 8, 4, 2.0**-8, 2026),
+        (problems.ou_linear_problem, 2, 1, 5, 2.0**-3, 8),  # N = 1
+        (problems.quadratic_heat_problem, 1, 4, 5, 2.0**-8, 2026),
+        (problems.quadratic_heat_problem, 3, 3, 4, 2.0**-8, 2026),
+    ],
+)
+def test_builds_give_the_old_bits(maker, d, N, M, delta, seed):
+    tp, net = _build(maker, d, N, M, delta, seed)
+    assert any(_blocked(net))
+    x = _points(tp, 4096, 3)
+    for n in (0, 1, 100, 512, 4096):
+        _assert_as_old(net, x[:n])
+
+
+@settings(max_examples=150, deadline=None)
+@given(hidden_block_net(exact=True), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2, 5, 9, 100]))
+def test_exact_hidden_block_nets_give_the_old_bits(net, seed, n):
+    # integer nets: a gather, bias or ones row out of place shows in the bits
+    _assert_as_old(net, np.random.default_rng(seed).integers(-4, 5, (n, net.in_dim)).astype(np.float64))
+
+
+@pytest.mark.parametrize(
+    "shapes, blocked",
+    [
+        # (out, in, groups) per layer, 0 groups for a full weight
+        ([(8, 5, 0), (48, 8, 4), (3, 48, 0)], [False, True, False]),  # (n, features) dense, then block
+        ([(60, 4, 0), (20, 60, 6), (2, 20, 0)], [False, True, False]),  # the block's input is the tallest
+        ([(12, 6, 0), (40, 12, 0), (40, 40, 8)], [False, False, True]),  # a block layer last
+        ([(40, 30, 8), (24, 40, 0), (20, 24, 0), (36, 20, 6), (32, 36, 7)], [True, False, False, True, True]),
+        ([(20, 20, 5), (70, 20, 0), (20, 70, 6), (3, 20, 0)], [True, False, True, False]),  # dense rows tallest
+        ([(40, 30, 8)], [True]),
+    ],
+)
+def test_layout_boundaries_give_the_old_bits(shapes, blocked):
+    # integer weights, biases and inputs: every sum is exact, so only the
+    # plan's gathers, bias columns and ones row decide the bits
+    gen = np.random.default_rng(22)
+    layers = []
+    for out, inp, groups in shapes:
+        w = _hidden_blocks_weight(gen, out, inp, groups) if groups else gen.normal(size=(out, inp))
+        layers.append(nets.Layer(np.round(4 * w), gen.integers(-4, 5, out).astype(np.float64)))
+    net = nets.Network(tuple(layers))
+    assert _blocked(net) == blocked
+    for n in (0, 1, 7, 512):
+        _assert_as_old(net, gen.integers(-4, 5, (n, net.in_dim)).astype(np.float64))
+
+
+# the /proc/cpuinfo flag each kernel needs; Linux lists SSE3 as "pni"
+_CORETYPE_FLAGS = {"Prescott": "pni", "Sandybridge": "avx", "Haswell": "avx2", "SkylakeX": "avx512f"}
+
+
+@pytest.mark.parametrize("coretype", sorted(_CORETYPE_FLAGS))
+def test_reference_gives_the_old_bits_on_each_openblas_kernel(coretype):
+    # a DYNAMIC_ARCH OpenBLAS takes its kernels from OPENBLAS_CORETYPE at load time
+    try:
+        flags = pathlib.Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        pytest.skip("no /proc/cpuinfo to read the CPU's instruction sets from")
+    if _CORETYPE_FLAGS[coretype] not in flags:
+        pytest.skip("this CPU lacks %s" % _CORETYPE_FLAGS[coretype])
+    script = (
+        "import test_realize as t\n"
+        "from kolmonet import nets, problems\n"
+        "tp, net = t._build(problems.heat_relu_problem, 1, 8, 64, 2.0**-8, 2026)\n"
+        "x = t._points(tp, 512, 5)\n"
+        "print(nets.realize(net, x).tobytes() == t._realize_old(net, x).tobytes())\n"
+    )
+    path = [str(pathlib.Path(__file__).parent), str(pathlib.Path(kolmonet.__file__).parents[1])]
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+
+
+# ---------------------------------------------------------------------------
 # what realize's docstring promises
 
 
@@ -211,12 +379,20 @@ def test_realize_rejects_inputs_of_the_wrong_rank():
         nets.realize(net, np.zeros((2, 1, 1)))
 
 
-def test_plan_is_made_once_per_network(reference):
+def test_plan_is_made_once_per_network(reference, monkeypatch):
     _tp, net = reference
     assert net._plan is net._plan
+    calls, split = [], nets._split
+    monkeypatch.setattr(nets, "_split", lambda w: calls.append(id(w)) or split(w))
+    fresh = nets.Network(net.layers)
+    steps = fresh._plan[0]
+    assert fresh._plan is fresh._plan
     distinct = {id(layer.weight) for layer in net.layers}
-    stacks = {id(step[1]) for step, on in zip(net._plan[0], _blocked(net)) if on}
-    assert len(stacks) < len(distinct) == 29
+    assert sorted(calls) == sorted(distinct) and len(distinct) == 29
+    # one stack per distinct (weight, bias bytes) pair at most, and far fewer than block layers
+    pairs = {(id(layer.weight), layer.bias.tobytes()) for layer, step in zip(net.layers, steps) if step[3]}
+    stacks = {id(step[1]) for step in steps if step[3]}
+    assert len(stacks) <= len(pairs) < sum(_blocked(net)) == 1536
 
 
 # ---------------------------------------------------------------------------
