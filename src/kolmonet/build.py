@@ -288,9 +288,10 @@ def serialize(solution: SolutionNet) -> bytes:
     identical builds serialize to identical bytes.  A non-finite value in
     the provenance raises ValueError, as it would on reading.
     """
-    buf = io.StringIO()
-    _write_solution(buf, _header(solution), solution.net)
-    return buf.getvalue().encode()
+    header = _header(solution)
+    fh = io.TextIOWrapper(io.BytesIO(), encoding="ascii", newline="")
+    _write_solution(fh, header, solution.net)
+    return fh.detach().getvalue()
 
 
 def _reject_constant(name):
@@ -298,50 +299,124 @@ def _reject_constant(name):
 
 
 # An array of numbers alone, whose value is a function of its text.
-_NUMBER_ARRAY = re.compile(r'\[[-+.0-9eE, \t\n\r]*\]')
+_NUMBER_ARRAY = re.compile(rb'\[[-+.0-9eE, \t\n\r]*\]')
+# Text up to the next "[" outside strings; it stops short of a string that does not end.
+_GAP = re.compile(rb'(?:[^"\[]+|"(?:[^"\\]|\\[\s\S])*")*')
+_CHUNK = 1 << 18  # bytes read at a time
+_KEY = 16  # bytes of each end of an array text in its lookup key
 
 
-def _loads(text: str):
-    """``json.loads(text, parse_constant=_reject_constant)``, parsing each
-    distinct text of an array of numbers once.
+def _load(read):
+    """``json.loads(text, parse_constant=_reject_constant)`` of the UTF-8
+    text that ``read(n)`` returns, at most n bytes a call and b"" at its
+    end, holding a chunk of it at a time and parsing each distinct text of
+    an array of numbers once.
 
     The M path networks share their weights, so a solution file repeats
     few distinct arrays (the reference build's 3,461 hold 102 texts).  An
-    array with no nested array runs from its "[" to the first "]"; that
-    text is looked up, and on its first occurrence checked against
-    ``_NUMBER_ARRAY`` and parsed by json.  Equal texts yield one shared
-    list.  Every other array goes through json's own parsing.  The scan
-    stays linear: the first "]" is remembered until the parse passes it,
-    and the texts looked up never overlap, as none holds a "[".
+    array with no nested array runs from its "[" to the first "]".  Each
+    such text outside strings that ``_NUMBER_ARRAY`` accepts becomes the
+    placeholder "[]" in a small skeleton of the document; the text is kept
+    once, looked up by its length and ends.  A chunk hands the string or
+    array it cuts to the next read, which is at least as long, so the scan
+    stays linear.  The bytes scanned are never decoded: ASCII bytes stand
+    for ASCII characters alone in UTF-8, and the skeleton, decoded whole,
+    holds every other byte.  json parses the skeleton, and a placeholder
+    gives the list json parses from its text on the text's first
+    occurrence: equal texts yield one shared list.  A JSONDecodeError
+    carries the original text up to the error, and a UnicodeDecodeError
+    the position in the document, so each reads as on the whole text.
     """
-    leaves = {}
-    close = -1
+    pieces, size, carry = [], 0, b""
+    leaves = {}  # skeleton offset of a placeholder -> index of its text
+    texts, known = [], {}  # the distinct texts; (length, head, tail) -> their indices
+    while chunk := read(max(_CHUNK, len(carry))):
+        buf, pos, at, close = carry + chunk, 0, 0, -1
+        while True:
+            at = _GAP.match(buf, at).end()
+            if at == len(buf):
+                carry = b""
+                break
+            if close < at:
+                close = buf.find(b"]", at)
+            if buf.startswith(b'"', at) or close < 0:
+                carry = buf[at:]  # a string or an array that the next chunk ends
+                break
+            n = close + 1 - at
+            k = min(n, _KEY)
+            key = (n, buf[at : at + k], buf[close + 1 - k : close + 1])
+            for index in known.get(key, ()):
+                if buf.startswith(texts[index], at):
+                    break
+            else:
+                if _NUMBER_ARRAY.fullmatch(buf, at, close + 1) is None:
+                    at += 1
+                    continue
+                index = len(texts)
+                texts.append(buf[at : close + 1])
+                known.setdefault(key, []).append(index)
+            pieces += (buf[pos:at], b"[]")
+            size += at - pos
+            leaves[size] = index
+            size += 2
+            pos = at = close + 1
+        pieces.append(buf[pos : len(buf) - len(carry)])
+        size += len(pieces[-1])
+    pieces.append(carry)
+    raw = b"".join(pieces)
+    try:
+        skeleton = raw.decode()
+    except UnicodeDecodeError as exc:  # raised at its position in the document
+        shift = sum(len(texts[i]) - 2 for offset, i in leaves.items() if offset < exc.start)
+        bad = bytes(shift) + raw[: exc.end]
+        raise UnicodeDecodeError(exc.encoding, bad, exc.start + shift, exc.end + shift, exc.reason) from None
+    if len(skeleton) < len(raw):  # the offsets count bytes; count characters
+        chars, last, moved = 0, 0, {}
+        for offset, index in leaves.items():
+            chars += len(raw[last:offset].decode())
+            moved[chars], last = index, offset
+        leaves = moved
+    texts = [text.decode() for text in texts]
+    values = [None] * len(texts)
+
+    def error(msg, upto, tail=""):
+        # json's error at skeleton offset upto (and tail into a leaf), on the original text
+        parts, last = [], 0
+        for offset, index in leaves.items():
+            if offset >= upto:
+                break
+            parts += (skeleton[last:offset], texts[index])
+            last = offset + 2
+        parts += (skeleton[last:upto], tail)
+        prefix = "".join(parts)
+        return json.JSONDecodeError(msg, prefix, len(prefix))
 
     def parse_array(s_and_end, scan_once):
-        nonlocal close
-        s, end = s_and_end
-        if close < end:
-            close = s.find("]", end)
-            if close < 0:
-                close = len(s)
-        if close == len(s) or s.find("[", end, close) >= 0:
+        end = s_and_end[1]
+        index = leaves.get(end - 1)
+        if index is None:
             return JSONArray(s_and_end, scan_once)
-        leaf = s[end - 1 : close + 1]
-        value = leaves.get(leaf)
+        value = values[index]
         if value is None:
-            if _NUMBER_ARRAY.fullmatch(leaf) is None:
-                return JSONArray(s_and_end, scan_once)
             try:
-                value = json.loads(leaf, parse_constant=_reject_constant)
+                value = values[index] = json.loads(texts[index], parse_constant=_reject_constant)
             except json.JSONDecodeError as exc:
-                raise json.JSONDecodeError(exc.msg, s, end - 1 + exc.pos) from None
-            leaves[leaf] = value
-        return value, close + 1
+                raise error(exc.msg, end - 1, texts[index][: exc.pos]) from None
+        return value, end + 1
 
     decoder = json.JSONDecoder(parse_constant=_reject_constant)
     decoder.parse_array = parse_array
     decoder.scan_once = py_make_scanner(decoder)
-    return decoder.decode(text)
+    try:
+        return decoder.decode(skeleton)
+    except json.JSONDecodeError as exc:
+        if exc.doc is not skeleton:
+            raise
+        raise error(exc.msg, exc.pos) from None
+
+
+def _loads(text: str):
+    return _load(io.BytesIO(text.encode()).read)
 
 
 def _unshared(value):
@@ -353,9 +428,9 @@ def _unshared(value):
     return value
 
 
-def deserialize(data: bytes) -> SolutionNet:
+def _read(fh) -> SolutionNet:
     try:
-        doc = _loads(data.decode())
+        doc = _load(fh.read)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SolutionNetFormatError("not a solution-network document: %s" % exc) from None
     if not isinstance(doc, dict) or doc.get("format") != "kolmonet-solution":
@@ -370,6 +445,10 @@ def deserialize(data: bytes) -> SolutionNet:
     if not isinstance(prov, dict):
         raise SolutionNetFormatError("missing provenance block")
     return SolutionNet(net=net, provenance=_unshared(prov))
+
+
+def deserialize(data: bytes) -> SolutionNet:
+    return _read(io.BytesIO(data))
 
 
 def save_solution(solution: SolutionNet, path):
@@ -394,4 +473,4 @@ def save_solution(solution: SolutionNet, path):
 
 def load_solution(path) -> SolutionNet:
     with open(path, "rb") as fh:
-        return deserialize(fh.read())
+        return _read(fh)

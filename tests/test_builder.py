@@ -2,11 +2,13 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -484,17 +486,17 @@ def test_reader_matches_json_oracle_on_hand_edited_documents():
     _assert_reads_as_oracle(one)
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda text: text[: len(text) // 2],  # truncated inside a bias array
-        lambda text: text[:-3],  # truncated after the last array
-        lambda text: text.replace('"bias": [5]', '"bias": [5'),  # unclosed [
-        lambda text: text.replace('"pair": [[1, 2]', '"pair": [[1, 2,]'),  # a bad number array
-        lambda text: text.replace("0.5, 2e-3", "0.5,\n 2e-3 x"),  # a bad value on a later line
-        lambda text: text.replace('"bias": [5]', '"bias": []'),  # parses, but the bias does not fit
-    ],
-)
+_REJECTED_EDITS = [
+    lambda text: text[: len(text) // 2],  # truncated inside a bias array
+    lambda text: text[:-3],  # truncated after the last array
+    lambda text: text.replace('"bias": [5]', '"bias": [5'),  # unclosed [
+    lambda text: text.replace('"pair": [[1, 2]', '"pair": [[1, 2,]'),  # a bad number array
+    lambda text: text.replace("0.5, 2e-3", "0.5,\n 2e-3 x"),  # a bad value on a later line
+    lambda text: text.replace('"bias": [5]', '"bias": []'),  # parses, but the bias does not fit
+]
+
+
+@pytest.mark.parametrize("edit", _REJECTED_EDITS)
 def test_reader_rejects_what_the_json_oracle_rejects(edit):
     data = edit(_HAND_EDITED).encode()
     with pytest.raises((json.JSONDecodeError, ValueError)) as oracle:
@@ -503,6 +505,106 @@ def test_reader_rejects_what_the_json_oracle_rejects(edit):
         build.deserialize(data)
     if isinstance(oracle.value, json.JSONDecodeError):
         assert str(reader.value) == "not a solution-network document: %s" % oracle.value
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64, None])
+def test_reader_matches_json_oracle_at_any_chunk_size(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(build, "_CHUNK", chunk)
+    back = _assert_reads_as_oracle(_HAND_EDITED.encode())
+    assert back.provenance["note"] == "[1, 2] and ]"
+    sol = build.solve(problems.ou_linear_problem(1).problem, bounds.Budget(N=2, M=2, delta=2.0**-4), seed=31415)
+    _assert_reads_as_oracle(build.serialize(sol))
+    for edit in _REJECTED_EDITS:
+        data = edit(_HAND_EDITED).encode()
+        with pytest.raises((json.JSONDecodeError, ValueError)) as oracle:
+            _deserialize_oracle(data)
+        with pytest.raises(build.SolutionNetFormatError) as reader:
+            build.deserialize(data)
+        if isinstance(oracle.value, json.JSONDecodeError):
+            assert str(reader.value) == "not a solution-network document: %s" % oracle.value
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_reader_chunks_end_inside_strings_and_arrays(monkeypatch, chunk):
+    monkeypatch.setattr(build, "_CHUNK", chunk)
+    fh, ends = io.BytesIO(_HAND_EDITED.encode()), [0]
+
+    def read(n):
+        part = fh.read(n)
+        ends.append(ends[-1] + len(part))
+        return part
+
+    assert build._load(read) == json.loads(_HAND_EDITED)
+    # a chunk ends inside the string that holds "[" and "]", and inside an array of numbers
+    for inside in ('"[1, 2] and ]"', '[ 1,  -0 ,\n                   0.5, 2e-3, -0.0, 7 ]'):
+        start = _HAND_EDITED.index(inside)
+        assert any(start < end < start + len(inside) - 1 for end in ends)
+
+
+@pytest.mark.parametrize("chunk", [64, None])
+def test_reader_rejects_invalid_utf8_beyond_the_first_chunk(tmp_path, monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(build, "_CHUNK", chunk)
+    tp = problems.ou_linear_problem(1)
+    sol = build.solve(tp.problem, bounds.Budget(N=2, M=2, delta=2.0**-4), seed=31415)
+    data = build.serialize(build.SolutionNet(sol.net, dict(sol.provenance, pad="a" * build._CHUNK)))
+    for at in (data.rindex(b"a"), data.rindex(b", ")):  # in the provenance, then in the last layer
+        assert at > build._CHUNK
+        bad = data[:at] + b"\xff" + data[at + 1 :]
+        with pytest.raises(UnicodeDecodeError) as oracle:
+            bad.decode()
+        path = tmp_path / "bad.json"
+        path.write_bytes(bad)
+        for load in (build.deserialize, build.load_solution):
+            with pytest.raises(build.SolutionNetFormatError) as reader:
+                load(bad if load is build.deserialize else path)
+            assert str(reader.value) == "not a solution-network document: %s" % oracle.value
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, None])
+def test_reader_reads_characters_that_chunks_split(tmp_path, monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(build, "_CHUNK", chunk)
+    data = build.serialize(build.SolutionNet(net=nets.identity_net(1), provenance={"note": "NOTE"}))
+    # four-, three- and two-byte characters, the first across the end of the first chunk if it is long
+    at = data.index(b"NOTE")
+    data = data.replace(b"NOTE", b"a" * max(0, build._CHUNK - 2 - at) + "\U0001d11e\u20ac\u00e9".encode() * 4)
+    fh, ends = io.BytesIO(data), [0]
+
+    def read(n):
+        part = fh.read(n)
+        ends.append(ends[-1] + len(part))
+        return part
+
+    assert build._load(read) == json.loads(data.decode())
+    assert any(data[end] & 0xC0 == 0x80 for end in ends[:-1])  # a chunk ends inside a character
+    back = _assert_reads_as_oracle(data)
+    assert back.provenance["note"].endswith("\U0001d11e\u20ac\u00e9")
+    path = tmp_path / "note.json"
+    path.write_bytes(data)
+    assert build.load_solution(path).provenance == back.provenance
+    # an error after them counts characters, as json's does
+    for bad in (data.replace(b'"bias": [0]', b'"bias": [0,]'), data.replace(b"]}]}}", b"]}]}")):
+        with pytest.raises(json.JSONDecodeError) as oracle:
+            json.loads(bad.decode())
+        with pytest.raises(build.SolutionNetFormatError) as reader:
+            build.deserialize(bad)
+        assert str(reader.value) == "not a solution-network document: %s" % oracle.value
+
+
+def test_load_solution_of_the_reference_build_holds_under_a_quarter_of_the_file(tmp_path):
+    path = tmp_path / "heat.json"
+    budget = bounds.Budget(N=8, M=64, delta=2.0**-8)
+    build.save_solution(build.solve(problems.heat_relu_problem(1).problem, budget, seed=2026), path)
+    tracemalloc.start()
+    try:
+        back = build.load_solution(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.net.depth == 1730
+    assert peak < path.stat().st_size / 4
 
 
 def test_pde_problem_validation():

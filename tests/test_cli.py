@@ -537,6 +537,22 @@ def test_solution_file_cut_inside_its_last_array_exit_two(tmp_path, capsys):
     assert captured.out == "" and "cannot load network" in captured.err
 
 
+def test_solution_file_with_invalid_utf8_beyond_the_first_chunk_exit_two(tmp_path, capsys, monkeypatch):
+    net = tmp_path / "ou.json"
+    args = ["build", "--problem", "ou_linear", "--d", "1", "--N", "2", "--M", "2", "--delta", "0.0625", "--seed", "2026"]
+    assert run(args + ["--out", str(net)]) == 0
+    monkeypatch.setattr(build, "_CHUNK", 1024)
+    data = net.read_bytes()
+    at = data.rindex(b", ")  # in the last layer, many chunks in
+    assert at > 8 * build._CHUNK
+    net.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+    capsys.readouterr()
+    assert run(["verify", "--in", str(net), "--problem", "ou_linear", "--d", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot load network: not a solution-network document: 'utf-8' codec can't decode byte 0xff" in captured.err
+
+
 def test_import_and_path_studies_load_no_heavy_module():
     # build and verify may load mpmath for their bounds, and no scipy module
     # a fresh interpreter on this package's sources: this one has loaded them all
