@@ -20,11 +20,14 @@ word ``w`` of a stream is lane ``w % 4`` of the block at counter
 ``w // 4 + 1``; the uniform is ``((word >> 11) + 0.5) 2^-53``, which is
 ``Generator.integers(0, 2**53)`` exactly (Lemire's method never rejects
 at a range of 2^53).  Short streams run the 10-round bijection for all
-paths at once in uint64 numpy code; streams of at least 512 words fill
-each row with ``Generator.random``, (word >> 11) 2^-53, of one numpy C
-``Philox`` re-keyed per path.  Both convert in place, adding 2^-54, and
-give the same bits; the tests compare them with the ``Generator.integers``
-path.  Path indices stay below 2^48, so they never reach the purpose tag.
+paths at once in uint64 numpy code: a 64x64->128 high half takes 14
+passes over 32-bit limbs, and as every stream starts at counter (block,
+0, 0, 0), the first two rounds run one product of the lanes' size
+instead of four.  Streams of at least 512 words fill each row with
+``Generator.random``, (word >> 11) 2^-53, of one numpy C ``Philox``
+re-keyed per path from one key array per chunk.  Both convert in place,
+adding 2^-54, and give the same bits; the tests compare them with the
+``Generator.integers`` path.  Path indices stay below 2^48, so they never reach the purpose tag.
 
 Threads: the paths of a draw run in chunks of max(1, _CHUNK_BLOCKS //
 ceil(N k / 4)) paths, so a chunk of short streams is one Philox pass of
@@ -103,53 +106,67 @@ def _stream(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, tag, index)))
 
 
-def _mulhi_into(a: np.uint64, b: np.ndarray, hi, blo, bhi, mid, lh):
-    """hi = the high half of the 128-bit products a * b, from 32-bit limbs, in place.
+def _mulhi_into(a: np.uint64, b: np.ndarray, hi, blo, bhi, u):
+    """hi = the high half of the 128-bit products a * b, from 32-bit limbs, in place: 14 passes.
 
-    The sums are mod 2^64, so in any order.
+    u = a_hi b_lo + (a_lo b_lo >> 32), t = a_lo b_hi + (u mod 2^32) and
+    hi = a_hi b_hi + (u >> 32) + (t >> 32); no partial sum reaches 2^64.
     """
     a_lo, a_hi = a & _LO32, a >> np.uint64(32)
     np.bitwise_and(b, _LO32, out=blo)
     np.right_shift(b, 32, out=bhi)
-    np.multiply(blo, a_lo, out=mid)
-    mid >>= 32  # ll >> 32
-    np.multiply(bhi, a_lo, out=lh)
-    np.multiply(blo, a_hi, out=blo)  # hl
+    np.multiply(blo, a_lo, out=u)
+    u >>= 32
+    blo *= a_hi
+    u += blo
     np.multiply(bhi, a_hi, out=hi)
-    for part in (lh, blo):
-        np.bitwise_and(part, _LO32, out=bhi)
-        mid += bhi
-        part >>= 32
-        hi += part
-    mid >>= 32
-    hi += mid
+    bhi *= a_lo  # t
+    np.bitwise_and(u, _LO32, out=blo)
+    bhi += blo
+    u >>= 32
+    hi += u
+    bhi >>= 32
+    hi += bhi
 
 
 def _philox_lanes(seed: int, key1: np.ndarray, blocks: int, work: np.ndarray):
     """The four lanes of the words of blocks 1..``blocks`` of the streams keyed (seed, key1[i]),
     each (rows, blocks), computed in place.
 
-    ``work`` is an (11, n) uint64 array with n >= rows * blocks; the lanes are
+    ``work`` is a (10, n) uint64 array with n >= rows * blocks; the lanes are
     views of it.  Every round is numpy's Philox round, two 64x64->128
     products and the lane shuffle, through ``out=`` ufuncs, so no array of
-    the lanes' size is allocated.
+    the lanes' size is allocated.  Every stream starts at counter (block,
+    0, 0, 0), so round 0's products depend on the block alone and leave
+    the lanes (k0, 0, ., .) in every stream; round 1 then multiplies one
+    number, m0 k0, and runs one product of the lanes' size instead of two.
     """
     rows = len(key1)
-    c0, c1, c2, c3, h0, h1, blo, bhi, mid, lh = (w[: rows * blocks].reshape(rows, blocks) for w in work[:10])
-    k1 = work[10, :rows].reshape(rows, 1)
+    c0, c1, c2, c3, h0, h1, blo, bhi, u = (w[: rows * blocks].reshape(rows, blocks) for w in work[:9])
+    k1 = work[9, :rows].reshape(rows, 1)
     k1[:] = key1
-    c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
-    c1.fill(0)
-    c2.fill(0)
-    c3.fill(0)
     k0 = seed & _MASK64
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 += np.uint64(_PHILOX_W[1])
-        _mulhi_into(_PHILOX_M[0], c0, h0, blo, bhi, mid, lh)
+    m0 = int(_PHILOX_M[0])
+    # round 0 on (block, 0, 0, 0): lanes (k0, 0, hi(m0 block) ^ k1, lo(m0 block))
+    block = [m0 * b for b in range(1, blocks + 1)]
+    np.bitwise_xor(k1, np.array([p >> 64 for p in block], dtype=np.uint64), out=c2)
+    lo0 = np.array([p & _MASK64 for p in block], dtype=np.uint64)
+    # round 1: lane 0 is k0 and lane 1 is 0 in every stream
+    key = m0 * k0
+    k0 = (k0 + _PHILOX_W[0]) & _MASK64
+    k1 += np.uint64(_PHILOX_W[1])
+    _mulhi_into(_PHILOX_M[1], c2, h1, blo, bhi, u)
+    c2 *= _PHILOX_M[1]  # lo1
+    h1 ^= np.uint64(k0)
+    np.bitwise_xor(k1, lo0 ^ np.uint64(key >> 64), out=h0)
+    c0.fill(key & _MASK64)  # lo0
+    c0, c1, c2, c3, h0, h1 = h1, c2, h0, c0, c1, c3
+    for _ in range(2, _PHILOX_ROUNDS):
+        k0 = (k0 + _PHILOX_W[0]) & _MASK64
+        k1 += np.uint64(_PHILOX_W[1])
+        _mulhi_into(_PHILOX_M[0], c0, h0, blo, bhi, u)
         c0 *= _PHILOX_M[0]  # lo0
-        _mulhi_into(_PHILOX_M[1], c2, h1, blo, bhi, mid, lh)
+        _mulhi_into(_PHILOX_M[1], c2, h1, blo, bhi, u)
         c2 *= _PHILOX_M[1]  # lo1
         h1 ^= c1
         h1 ^= np.uint64(k0)
@@ -175,9 +192,12 @@ def _normals_into(z: np.ndarray, seed: int, tag: int, index: np.ndarray, scratch
         raise ValueError("path index %d reaches 2^48" % index.max())
     if n >= _ROW_STREAM_WORDS:
         gen, fresh = scratch
-        for i, m in enumerate(index.tolist()):
+        keys = np.empty((rows, 2), dtype=np.uint64)  # the rows of _key(seed, tag, index[i])
+        keys[:, 0] = seed & _MASK64
+        np.bitwise_or(np.uint64(tag << 48), index, out=keys[:, 1])
+        for i in range(rows):
             # re-key through the fresh state (counter 0, empty buffer)
-            fresh["state"]["key"] = _key(seed, tag, m)
+            fresh["state"]["key"] = keys[i]
             gen.bit_generator.state = fresh
             gen.random(out=z[i])
     else:
@@ -199,7 +219,7 @@ def _scratch(seed: int, tag: int, n: int, rows: int):
     if n >= _ROW_STREAM_WORDS:
         gen = np.random.Generator(np.random.Philox(key=_key(seed, tag, 0)))
         return gen, gen.bit_generator.state
-    return np.empty((11, rows * -(-n // 4)), dtype=np.uint64)
+    return np.empty((10, rows * -(-n // 4)), dtype=np.uint64)
 
 
 def _workers() -> int:

@@ -130,7 +130,9 @@ def moment_study(q: float = 2.0, paths: int = 20_000, seed: int = 202):
     Rows: (problem, d, q, empirical, std_error, bound, envelope_violations).
     The heat_relu and ou_linear rows at one d read the same normals, scaled
     by their own B, so each d draws them once into two views of one flat
-    buffer, sized for the largest d.
+    buffer, sized for the largest d.  A row takes its state norms and its
+    envelope count in one pass beside the Euler recursion
+    (``_moment_norms``), and forms no walk or envelope array.
     """
     names = ("heat_relu", "ou_linear")
     buffer = np.empty(len(names) * paths * sde._row_values(MOMENT_STEPS, max(MOMENT_DIMS)))
@@ -151,38 +153,62 @@ def _moment_rows(names, d: int, q: float, paths: int, seed: int, buffer):
     return [_moment_row(name, pb, inc, q) for name, pb, inc in zip(names, pbs, incs)]
 
 
-def _moment_norms(x0, drift, increments, T: float):
-    """The (paths, N+1) norms ||Y_n|| of the Euler states and ||sum_{k<n} dW_k|| of the noise walk.
+def _column_norms(a, square, out):
+    """``np.linalg.norm(a, axis=1)`` of a (rows, d) array with d < 8, bitwise, written into ``out``.
 
-    Step by step, beside the recursion: the walk's norms are those of
-    ``sde.walk_norms(increments)``, bitwise, from a running (paths, d)
-    partial sum instead of its (paths, N+1, d) array.
+    numpy's reduce adds fewer than 8 terms in sequence (from 8 on, its
+    pairwise sum groups them otherwise), so adding the squares column by
+    column, in a (rows, d) ``square`` buffer, gives its bits without its
+    per-row loop.
+    """
+    np.multiply(a, a, out=square)
+    total = square[:, 0]
+    for j in range(1, a.shape[1]):
+        total = np.add(total, square[:, j], out=out)
+    return np.sqrt(total, out=out)
+
+
+def _moment_norms(x0, drift, increments, T: float, C: float, c: float):
+    """The (paths, N+1) norms ||Y_n|| of the Euler states, and how many exceed the Gronwall envelope.
+
+    One pass beside the recursion.  At state n the noise walk's partial
+    sum gains step n - 1, and the running maximum of its norms (a (paths,)
+    vector) sets g_n = ``bounds.drift_growth_envelope`` at tau_n, widened
+    by a relative and an absolute 1e-12.  The norms and the count are
+    those of ``np.linalg.norm`` of the states, ``sde.walk_norms``,
+    ``np.maximum.accumulate`` and one envelope call on the whole grid,
+    bitwise; no walk or envelope array is formed.
     """
     paths, N, d = increments.shape
-    norms, walk = np.empty((paths, N + 1)), np.zeros((paths, N + 1))
-    partial, square = np.zeros((paths, d)), np.empty((paths, d))
+    x_norm = np.linalg.norm(x0)
+    grid = np.arange(N + 1) * (T / N)
+    norms, square = np.empty((paths, N + 1)), np.empty((paths, d))
+    partial, walk, running_max = np.zeros((paths, d)), np.empty(paths), np.zeros(paths)
+    violations = 0
     for n, y in enumerate(sde.euler_states(x0, drift, increments, T)):
-        norms[:, n] = np.linalg.norm(y, axis=1)
-        if n < N:
-            partial += increments[:, n]
-            np.multiply(partial, partial, out=square)
-            np.sqrt(np.add.reduce(square, axis=-1), out=walk[:, n + 1])
-    return norms, walk
+        _column_norms(y, square, norms[:, n])
+        if n:
+            partial += increments[:, n - 1]
+            np.maximum(running_max, _column_norms(partial, square, walk), out=running_max)
+        envelope = bounds.drift_growth_envelope(x_norm, C, c, grid[n : n + 1], running_max)
+        envelope *= 1 + 1e-12
+        envelope += 1e-12
+        violations += int(np.count_nonzero(norms[:, n] > envelope))
+    return norms, violations
 
 
 def _moment_row(name: str, pb, increments, q: float):
-    paths, N, d = increments.shape
+    paths, _, d = increments.shape
     x0 = np.full(d, 0.5)
-    norms, walk = _moment_norms(x0, pb.drift_net, increments, pb.T)
+    C, c = pb.params.C, pb.params.c
+    norms, violations = _moment_norms(x0, pb.drift_net, increments, pb.T, C, c)
     powq = norms**q
     means = powq.mean(axis=0)
     n_star = int(np.argmax(means))
     emp = means[n_star] ** (1.0 / q)
     se = powq[:, n_star].std(ddof=1) / math.sqrt(paths)
-    del powq  # before the envelope is formed: the row runs beside both rows' increments
     se_emp = se / (q * emp ** (q - 1.0)) if emp > 0 else se
     trace = float(np.trace(pb.B @ pb.B.T))
-    C, c = pb.params.C, pb.params.c
     bound = bounds.apriori_sde_bound(
         float(np.linalg.norm(x0)),
         C,
@@ -190,13 +216,6 @@ def _moment_row(name: str, pb, increments, q: float):
         pb.T,
         bounds.gaussian_moment_bound(q, pb.T * trace),
     )
-    # pathwise Gronwall envelope on the grid, of the walk's running maximum, formed in place
-    running_max = np.maximum.accumulate(walk, axis=1, out=walk)
-    grid = np.arange(N + 1) * (pb.T / N)
-    envelope = bounds.drift_growth_envelope(np.linalg.norm(x0), C, c, grid[None, :], running_max)
-    envelope *= 1 + 1e-12
-    envelope += 1e-12
-    violations = int((norms > envelope).sum())
     row_ok = emp <= bound + 3.0 * se_emp and violations == 0
     return (name, d, q, emp, se_emp, bound, violations), row_ok
 

@@ -171,6 +171,21 @@ def test_growth_evaluators_on_arrays_equal_their_scalar_and_list_calls():
         bounds.mc_sum_error_bound(0.01, 2, 1.5, 1.0, 4, h2, h3)
 
 
+@pytest.mark.parametrize("T, N", [(1.0, 16), (0.7, 16), (3.0, 5)])
+def test_drift_growth_envelope_per_step_is_the_grid_call_bitwise(T, N):
+    # the moment rows call it on one grid column at a time, with the time as a one-value slice
+    gen = np.random.default_rng(N)
+    grid = np.arange(N + 1) * (T / N)
+    walk = gen.exponential(size=(300, N + 1)) * np.exp(gen.uniform(-9.0, 9.0, size=(300, 1)))
+    running_max = np.maximum.accumulate(walk, axis=1)
+    for x_norm in (np.linalg.norm(np.full(5, 0.5)), 0.0, 2.75):
+        for C, c in ((0.0, 0.0), (0.0, 1.0), (2.5, 0.37), (1e-3, 7.0)):
+            whole = bounds.drift_growth_envelope(x_norm, C, c, grid[None, :], running_max)
+            for n in range(N + 1):
+                step = bounds.drift_growth_envelope(x_norm, C, c, grid[n : n + 1], running_max[:, n].copy())
+                assert step.tobytes() == whole[:, n].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # solution-network bounds and planner
 

@@ -483,7 +483,7 @@ def test_a_chunk_of_short_streams_is_one_philox_pass(monkeypatch, pool_size):
     monkeypatch.setattr(sde, "_philox_lanes", record)
     B = np.array([[1.0, 0.5], [0.0, 2.0]])
     got = sde.sample_brownian(3, 5, 23, 2, 0.8, B).increments
-    assert passes == [(5, 3, (11, 15))] * 4 + [(3, 3, (11, 15))]
+    assert passes == [(5, 3, (10, 15))] * 4 + [(3, 3, (10, 15))]
     assert np.array_equal(got, _per_path_increments(3, 5, 23, 0.8, B))
 
 
@@ -499,15 +499,18 @@ def test_a_one_chunk_draw_starts_no_thread(monkeypatch, pool_size):
     sde.sample_brownian(2026, 8, 64, 1, 1.0)  # 64 chunks, one thread
 
 
-@pytest.mark.parametrize("rows, blocks", [(1, 1), (7, 3), (300, 4), (37, 128)])
+@pytest.mark.parametrize("rows, blocks", [(1, 1), (7, 3), (300, 4), (37, 128), (4096, 4)])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_philox_lanes_equal_the_allocating_words(seed, rows, blocks):
-    key1 = (np.uint64(5 << 48) | np.arange(2**48 - rows, 2**48, dtype=np.uint64))[:, None]
-    work = np.full((11, rows * blocks + 5), 7, dtype=np.uint64)  # stale words and spare lanes
-    lanes = sde._philox_lanes(seed, key1, blocks, work)
-    got = np.stack(lanes, axis=-1).reshape(rows, 4 * blocks)
-    assert np.array_equal(got, _philox_words(seed, key1, blocks))
-    assert all(np.shares_memory(lane, work) for lane in lanes)
+    # tag 0xFFFF: the first key bump, inside the shortened round 1, wraps 2^64; 4,096 x 4 is a full pass
+    for tag in (5, 0xFFFF):
+        key1 = (np.uint64(tag << 48) | np.arange(2**48 - rows, 2**48, dtype=np.uint64))[:, None]
+        work = np.full((11, rows * blocks + 5), 7, dtype=np.uint64)  # stale words and spare lanes
+        lanes = sde._philox_lanes(seed, key1, blocks, work)
+        got = np.stack(lanes, axis=-1).reshape(rows, 4 * blocks)
+        assert np.array_equal(got, _philox_words(seed, key1, blocks))
+        assert all(np.shares_memory(lane, work) for lane in lanes)
+    assert 4096 * 4 == sde._CHUNK_BLOCKS
 
 
 @pytest.mark.parametrize("value, cap", [(None, None), ("", None), ("1", 1), ("3", 3), ("02", 2)])

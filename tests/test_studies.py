@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
-from kolmonet import bounds, cli, problems, sde, studies
+from kolmonet import bounds, cli, nets, problems, sde, studies
 
 _CONVERGENCE = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_convergence.py"
 
@@ -140,17 +140,59 @@ def test_moment_rows_of_one_shared_draw_are_the_rows_of_their_own_draws(q, paths
     assert rows == [row for row, _ in want] and ok == all(row_ok for _, row_ok in want)
 
 
+def _violations_oracle(x0, increments, T, C, c, norms):
+    """The envelope violations of the norms as the rows counted them, from the whole walk and envelope."""
+    N = increments.shape[1]
+    running_max = np.maximum.accumulate(sde.walk_norms(increments), axis=1)
+    grid = np.arange(N + 1) * (T / N)
+    envelope = bounds.drift_growth_envelope(np.linalg.norm(x0), C, c, grid[None, :], running_max)
+    return int((norms > envelope * (1 + 1e-12) + 1e-12).sum())
+
+
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_step_wise_walk_norms_are_walk_norms_bitwise(d):
-    # the moment study's increments, and signed zeros, subnormals and large values
-    pb, x0 = problems.heat_relu_problem(d).problem, np.full(d, 0.5)
-    drawn = sde.sample_brownian(9, 16, 500, d, pb.T, pb.B).increments
+    # the moment study's increments, and signed zeros, subnormals and large values:
+    # the state norms bitwise, and the streamed envelope's count that of the whole arrays
+    heat, x0 = problems.heat_relu_problem(d).problem, np.full(d, 0.5)
+    drawn = sde.sample_brownian(9, 16, 500, d, heat.T, heat.B).increments
     edge = np.resize([0.0, -0.0, 5e-324, -2.5e-310, 1e150, -3.0, 0.7, 1e-160], (40, 16, d))
-    for inc in (drawn, edge):
-        norms, walk = studies._moment_norms(x0, pb.drift_net, inc, pb.T)
-        assert walk.tobytes() == sde.walk_norms(inc).tobytes()
-        states = sde.euler_states(x0, pb.drift_net, inc, pb.T)
-        assert norms.tobytes() == np.stack([np.linalg.norm(y, axis=1) for y in states], axis=1).tobytes()
+    for name in ("heat_relu", "ou_linear"):
+        pb = problems.get_problem(name, d).problem
+        C, c = pb.params.C, pb.params.c
+        for inc in (drawn, edge):
+            norms, violations = studies._moment_norms(x0, pb.drift_net, inc, pb.T, C, c)
+            states = sde.euler_states(x0, pb.drift_net, inc, pb.T)
+            assert norms.tobytes() == np.stack([np.linalg.norm(y, axis=1) for y in states], axis=1).tobytes()
+            assert violations == _violations_oracle(x0, inc, pb.T, C, c, norms)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_envelope_count_fails_states_the_envelope_does_not_bound(d):
+    # a drift of 4y under ou_linear's C = 0 and c = 1 (kappa 4 lets the problem take it):
+    # the states grow by 1.25 a step, the envelope by e^(1/16)
+    pb, x0 = problems.ou_linear_problem(d).problem, np.full(d, 0.5)
+    params = dataclasses.replace(pb.params, kappa=4.0)
+    pushed = dataclasses.replace(pb, drift_net=nets.affine_net(4.0 * np.eye(d)), params=params)
+    inc = sde.sample_brownian(9, 16, 500, d, pb.T, pb.B).increments
+    norms, violations = studies._moment_norms(x0, pushed.drift_net, inc, pb.T, pb.params.C, pb.params.c)
+    assert 0 < violations == _violations_oracle(x0, inc, pb.T, pb.params.C, pb.params.c, norms)
+    row, row_ok = studies._moment_row("ou_linear", pushed, inc, 2.0)
+    assert row[-1] == violations and not row_ok
+    assert studies._moment_row("ou_linear", pb, inc, 2.0)[0][-1] == 0
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_column_norms_are_linalg_norms_bitwise(d):
+    gen = np.random.default_rng(d)
+    drawn = gen.normal(size=(2000, d)) * np.exp(gen.uniform(-40.0, 40.0, size=(2000, d)))
+    edge_values = [0.0, -0.0, 5e-324, -2.5e-310, 1e150, -3.0, 0.7, 1e-160, 1e154, -3e-154, np.inf, -np.inf, np.nan]
+    edge = gen.choice(edge_values, size=(2000, d))
+    for a in (drawn, edge):
+        column = np.full((len(a), 3), 7.0)[:, 1]  # a strided column, as the study writes the state norms
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = studies._column_norms(a, np.empty_like(a), column)
+            want = np.linalg.norm(a, axis=1)
+        assert got.base is column.base and got.tobytes() == want.tobytes()
 
 
 def test_study_euler_stdout_is_pinned(capsys):
