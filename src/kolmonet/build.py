@@ -183,10 +183,9 @@ def build_euler_net(
     prod = nets.product_net(delta_step, R)
 
     id_aff = nets.affine_net(np.eye(d))
-    step_base = nets.average_nets(
-        [nets.extend_length(id_aff, drift_net.depth), drift_net], [1.0, h]
-    )
+    step_base = nets.average_nets([id_aff, drift_net], [1.0, h])
     coords = list(range(1, d + 1))
+    prods = nets.parallel_stack([nets.select_inputs(prod, [0, 1 + i], 1 + d) for i in range(d)])
     grid_value_net = id_aff  # realizes Y_{tau_n} exactly; starts at Y_0 = x
     branches = []
     for n in range(N):
@@ -197,9 +196,6 @@ def build_euler_net(
         )
         ramp = nets.select_inputs(nets.hat_time_net(grid, n), [0], d + 1)
         feed = nets.parallel_stack([ramp, nets.select_inputs(delta_net, coords, d + 1)])
-        prods = nets.parallel_stack(
-            [nets.select_inputs(prod, [0, 1 + i], 1 + d) for i in range(d)]
-        )
         # identity boundary keeps the ramp value materialized, so products
         # see an exact zero left of the cell
         branches.append(nets.concat_with_identity(prods, feed))

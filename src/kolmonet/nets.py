@@ -399,8 +399,9 @@ def extend_length(net: Network, target_depth: int) -> Network:
         raise ValueError(
             "target depth %d below current depth %d" % (target_depth, net.depth)
         )
+    pad = identity_net(net.in_dim)
     while net.depth < target_depth:
-        net = compose(net, identity_net(net.in_dim))
+        net = compose(net, pad)
     return net
 
 
@@ -421,69 +422,28 @@ def _block_diag(mats):
     return out
 
 
-def _padded_group(nets):
-    nets = list(nets)
-    if not nets:
-        raise ValueError("need at least one network")
-    in_dim = nets[0].in_dim
-    for n in nets:
-        if n.in_dim != in_dim:
-            raise ValueError("networks must share the input dimension")
-    depth = max(n.depth for n in nets)
-    return [extend_length(n, depth) for n in nets], depth
-
-
-def _stacked_layers(nets, depth: int) -> list:
-    """First ``depth`` layers of equal-depth nets run side by side on a shared input.
-
-    The first layers stack vertically (they read the same input); later
-    layers are block diagonal, so each block only sees its own net.  Biases
-    are joined along their last axis, a vector repeated for every member
-    where another bias carries a member axis.
-    """
-
-    def biases(k):
-        bs = [n.layers[k].bias for n in nets]
-        lead = np.broadcast_shapes(*(b.shape[:-1] for b in bs))
-        return np.concatenate([np.broadcast_to(b, lead + b.shape[-1:]) for b in bs], axis=-1)
-
-    layers = [Layer(np.vstack([n.layers[0].weight for n in nets]), biases(0))]
-    for k in range(1, depth):
-        layers.append(Layer(_block_diag([n.layers[k].weight for n in nets]), biases(k)))
-    return layers
-
-
 def average_nets(nets, weights) -> Network:
     """Single network realizing ``sum_m weights[m] * realize(nets[m], x)``.
 
-    All nets must share input and output dimensions; depths are equalized
-    by identity padding first.  Hidden layers are block diagonal, so the
-    parameter count of the result is at most M^2 times the padded
-    per-net count when the padded dims agree.
+    The nets must share input and output dimensions.  The result is the
+    mixing layer ``[w_0 I, ..., w_{M-1} I]`` composed onto
+    ``parallel_stack(nets)``; its parameter count is at most M^2 times the
+    padded per-net count when the padded dims agree.  Where the deepest net
+    has depth 2 or more, each entry of the fused last weight has one nonzero
+    term, w_m times an entry of net m's last weight, so it is that product
+    bit for bit.  Nonzero last biases of two or more nets add in
+    ``compose``'s matrix-vector order.
     """
     nets = list(nets)
     weights = [float(w) for w in weights]
     if len(nets) != len(weights):
         raise ValueError("one weight per network required")
-    nets, depth = _padded_group(nets)
-    out_dim = nets[0].out_dim
-    for n in nets:
-        if n.out_dim != out_dim:
-            raise ValueError("networks must share the output dimension")
-    if len(nets) == 1 and weights[0] == 1.0:
-        return nets[0]
-    if depth == 1:
-        w = sum(wt * n.layers[0].weight for wt, n in zip(weights, nets))
-        b = sum(wt * n.layers[0].bias for wt, n in zip(weights, nets))
-        return Network((Layer(w, b),))
-    layers = _stacked_layers(nets, depth - 1)
-    layers.append(
-        Layer(
-            np.hstack([wt * n.layers[-1].weight for wt, n in zip(weights, nets)]),
-            sum(wt * n.layers[-1].bias for wt, n in zip(weights, nets)),
-        )
-    )
-    return Network(tuple(layers))
+    if not nets:
+        raise ValueError("need at least one network")
+    eye = np.eye(nets[0].out_dim)
+    if any(n.out_dim != len(eye) for n in nets):
+        raise ValueError("networks must share the output dimension")
+    return compose(affine_net(np.hstack([w * eye for w in weights])), parallel_stack(nets))
 
 
 def pipeline_average(template: Network, M: int) -> Network:
@@ -527,11 +487,30 @@ def parallel_stack(nets) -> Network:
     """Single network whose output concatenates the outputs of ``nets``.
 
     The nets share the input; depths are equalized by identity padding.
+    The first layers stack vertically (they read the same input); later
+    layers are block diagonal, so each block only sees its own net.  Biases
+    are joined along their last axis, a vector repeated for every member
+    where another bias carries a member axis.
     """
-    nets, depth = _padded_group(nets)
+    nets = list(nets)
+    if not nets:
+        raise ValueError("need at least one network")
+    if any(n.in_dim != nets[0].in_dim for n in nets):
+        raise ValueError("networks must share the input dimension")
+    depth = max(n.depth for n in nets)
+    nets = [extend_length(n, depth) for n in nets]
     if len(nets) == 1:
         return nets[0]
-    return Network(tuple(_stacked_layers(nets, depth)))
+
+    def biases(k):
+        bs = [n.layers[k].bias for n in nets]
+        lead = np.broadcast_shapes(*(b.shape[:-1] for b in bs))
+        return np.concatenate([np.broadcast_to(b, lead + b.shape[-1:]) for b in bs], axis=-1)
+
+    layers = [Layer(np.vstack([n.layers[0].weight for n in nets]), biases(0))]
+    for k in range(1, depth):
+        layers.append(Layer(_block_diag([n.layers[k].weight for n in nets]), biases(k)))
+    return Network(tuple(layers))
 
 
 def product_depth_stages(eps: float, R: float) -> int:

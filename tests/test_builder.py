@@ -639,13 +639,40 @@ def test_path_net_param_count_within_display_bound():
     assert nets.param_count(psi) <= cap
 
 
-def test_serialized_bytes_pinned():
-    # criterion 9's OU build; the digest pins the v1 writer's bytes across refactors
-    tp = problems.ou_linear_problem(1)
-    budget = bounds.Budget(N=2, M=2, delta=2.0**-4)
-    data = build.serialize(build.solve(tp.problem, budget, seed=31415))
-    assert len(data) == 67_416
-    assert hashlib.sha256(data).hexdigest() == "0ee18ded784f8593a22d2b2a305740681a8ce83e1552f337315bb4c0fc7b819a"
+@pytest.mark.parametrize(
+    "maker, d, N, M, delta, seed, length, digest",
+    [
+        # criterion 9's OU build
+        (
+            problems.ou_linear_problem, 1, 2, 2, 2.0**-4, 31415, 67_416,
+            "0ee18ded784f8593a22d2b2a305740681a8ce83e1552f337315bb4c0fc7b819a",
+        ),
+        # averages over d > 1, and the product-net initial value at d = 1 and 3
+        (
+            problems.heat_relu_problem, 2, 3, 2, 2.0**-8, 2026, 494_515,
+            "71e8b42dbde21bdd81d5bf628e7259669743f4038e2e5d776b066bbbff1b8112",
+        ),
+        (
+            problems.ou_linear_problem, 2, 8, 4, 2.0**-8, 2026, 6_351_591,
+            "50a5cb18d1d3dc6fa8598848cdb65afcdbb6de329e3cc608a39e69bf8d66662f",
+        ),
+        (
+            problems.quadratic_heat_problem, 1, 4, 5, 2.0**-8, 2026, 633_792,
+            "a6a0c818e32980ac28c5f6ef0d7208c7d0f86145385af90275ad63d5202a0ddc",
+        ),
+        (
+            problems.quadratic_heat_problem, 3, 3, 4, 2.0**-8, 2026, 2_260_402,
+            "c85b545b6074a71368bdcdfc9d45bd9c10e3f335893cb3de23f7f92b9f30a2ef",
+        ),
+    ],
+    ids=["ou_linear-d1", "heat_relu-d2", "ou_linear-d2", "quadratic_heat-d1", "quadratic_heat-d3"],
+)
+def test_serialized_bytes_pinned(maker, d, N, M, delta, seed, length, digest):
+    # the digests pin the v1 writer's bytes and the network assembly across refactors;
+    # each holds under the Prescott and SkylakeX OpenBLAS kernels
+    data = build.serialize(build.solve(maker(d).problem, bounds.Budget(N=N, M=M, delta=delta), seed=seed))
+    assert len(data) == length
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_reference_build_bytes_pinned():

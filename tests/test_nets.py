@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kolmonet import build, nets
+from kolmonet import build, nets, problems
 
 
 def straight_line_eval(net, x):
@@ -265,10 +265,12 @@ def test_average_param_bound_for_equal_dims():
 
 
 def test_average_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one network"):
         nets.average_nets([], [])
     with pytest.raises(ValueError):
         nets.average_nets([nets.identity_net(1), nets.identity_net(2)], [1.0, 1.0])
+    with pytest.raises(ValueError, match="share the output dimension"):
+        nets.average_nets([nets.identity_net(1), nets.affine_net(np.ones((2, 1)))], [1.0, 1.0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -517,9 +519,8 @@ def test_compose_member_biases_match_per_member_matvec(out_dim, k, axis_in):
         _assert_layers_equal(_member(nets.compose(f, g), m), nets.compose(_member(f, m), _member(g, m)))
 
 
-def test_stacked_layers_mix_vector_and_member_biases():
-    # parallel_stack and average_nets repeat a plain bias for every member of another
-    M = 3
+def _mixed_member_group(M):
+    # plain, shared-weight, mixed and shallower nets; some biases carry a member axis
     gen = np.random.default_rng(8)
     plain = random_net(gen, (2, 4, 3, 2))
     member = _shared_weight_template(9, (2, 5, 4, 2), M)
@@ -531,12 +532,86 @@ def test_stacked_layers_mix_vector_and_member_biases():
         )
     )
     shallow = _shared_weight_template(10, (2, 3, 2), M)  # padded on the input side
-    group = [plain, member, mixed, shallow]
+    return [plain, member, mixed, shallow]
+
+
+def test_stacked_layers_mix_vector_and_member_biases():
+    # parallel_stack and average_nets repeat a plain bias for every member of another
+    M = 3
+    group = _mixed_member_group(M)
     for combine in (nets.parallel_stack, lambda ns: nets.average_nets(ns, [0.5, 2.0, -1.0, 0.25])):
         together = combine(group)
         assert [l.bias.shape for l in together.layers] == [(M, l.out_dim) for l in together.layers]
         for m in range(M):
             _assert_layers_equal(_member(together, m), combine([_member(n, m) for n in group]))
+
+
+def _average_nets_old(members, weights):
+    # the assembly average_nets replaced: pad, stack all layers but the last
+    # side by side, join the weighted last layers in one hstack; nets of depth
+    # 1 sum their weighted layers, and one net of weight 1 is returned as is
+    depth = max(n.depth for n in members)
+    members = [nets.extend_length(n, depth) for n in members]
+    if len(members) == 1 and weights[0] == 1.0:
+        return members[0]
+    if depth == 1:
+        w = sum(wt * n.layers[0].weight for wt, n in zip(weights, members))
+        b = sum(wt * n.layers[0].bias for wt, n in zip(weights, members))
+        return nets.Network((nets.Layer(w, b),))
+
+    def biases(k):
+        bs = [n.layers[k].bias for n in members]
+        lead = np.broadcast_shapes(*(b.shape[:-1] for b in bs))
+        return np.concatenate([np.broadcast_to(b, lead + b.shape[-1:]) for b in bs], axis=-1)
+
+    layers = [nets.Layer(np.vstack([n.layers[0].weight for n in members]), biases(0))]
+    for k in range(1, depth - 1):
+        layers.append(nets.Layer(nets._block_diag([n.layers[k].weight for n in members]), biases(k)))
+    layers.append(
+        nets.Layer(
+            np.hstack([wt * n.layers[-1].weight for wt, n in zip(weights, members)]),
+            sum(wt * n.layers[-1].bias for wt, n in zip(weights, members)),
+        )
+    )
+    return nets.Network(tuple(layers))
+
+
+@pytest.mark.parametrize("N", [3, 8])
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("name", problems.problem_names())
+def test_step_base_average_gives_the_old_bits(name, d, N):
+    # the builder's identity-plus-drift step; heat's zero drift has depth 1
+    pb = problems.get_problem(name, d).problem
+    h = pb.T / N
+    id_aff = nets.affine_net(np.eye(d))
+    old = _average_nets_old([nets.extend_length(id_aff, pb.drift_net.depth), pb.drift_net], [1.0, h])
+    _assert_layers_equal(nets.average_nets([id_aff, pb.drift_net], [1.0, h]), old)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_quadratic_initial_value_gives_the_old_bits(d):
+    # the sum of d square networks, the one average with a single net at d = 1
+    R = 8.0
+    dup = nets.affine_net(np.array([[1.0], [1.0]]))
+    squares = [
+        nets.select_inputs(nets.compose(nets.product_net(2.0**-12, R), dup), [i], d)
+        for i in range(d)
+    ]
+    init = problems.quadratic_heat_problem(d, R).problem.init_net
+    _assert_layers_equal(init, _average_nets_old(squares, [1.0] * d))
+
+
+def test_mixed_member_group_average_gives_the_old_bits():
+    # with zero last biases the two assemblies agree bitwise, member axes included
+    M = 3
+    group = [
+        nets.Network(n.layers[:-1] + (nets.Layer(n.layers[-1].weight, np.zeros(n.layers[-1].bias.shape)),))
+        for n in _mixed_member_group(M)
+    ]
+    weights = [0.5, 2.0, -1.0, 0.25]
+    new = nets.average_nets(group, weights)
+    assert new.layers[-1].bias.shape == (M, 2)
+    _assert_layers_equal(new, _average_nets_old(group, weights))
 
 
 @pytest.mark.parametrize("dims", [(2, 5, 1), (2, 5, 4, 1)], ids=["no_hidden_block", "one_hidden_block"])
