@@ -53,6 +53,10 @@ are those of the contiguous array.  ``_path_rows`` lays the rows out, in a
 fresh array or in the leading values of a caller's flat buffer, and
 ``sample_brownian(out=)`` fills any writable (M, N, d) array: a study
 that draws its paths in chunks allocates one buffer for all of them.
+The moment study lays its short paths out step-major instead: a chunk
+of M paths fills two (M, N, d) views of one (N, 2M, d) block, one per
+row of the study, and a view's ``[:, n]`` is contiguous
+(``studies.moment_study``).
 """
 
 from __future__ import annotations
@@ -233,8 +237,8 @@ def _fill_increments(outs, seed: int, tag: int, index: np.ndarray, Bs, scale):
     """Set out[i] = scale * (z_i @ B.T) for each pair (out, B) of ``zip(outs, Bs)``, where z_i are the
     normals of the stream (seed, tag << 48 | index[i]).
 
-    The outputs share one shape (rows, ..., d) and may be views with padded
-    rows; the factors are d x k matrices of one k (ValueError otherwise,
+    The outputs share one shape (rows, ..., d) and may have any strides,
+    padded rows and step-major views included; the factors are d x k matrices of one k (ValueError otherwise,
     before anything is drawn).  z_i is the stream's first n = out[i].size
     // d * k normals, shaped out[i].shape[:-1] + (k,).  Each chunk's normals
     are drawn once and feed every pair through the product a one-pair draw

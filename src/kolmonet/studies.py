@@ -24,6 +24,9 @@ WEAK_REFINE = 64
 # Dimensions and grid steps of the scheme moment rows.
 MOMENT_DIMS = (1, 2, 5)
 MOMENT_STEPS = 16
+# Increment values per row in a chunk of the moment rows' paths: a chunk draws both rows of a d
+# into one buffer of twice this many values (4.2 MB).
+_MOMENT_CHUNK_VALUES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -129,38 +132,69 @@ def moment_study(q: float = 2.0, paths: int = 20_000, seed: int = 202):
 
     Rows: (problem, d, q, empirical, std_error, bound, envelope_violations).
     The heat_relu and ou_linear rows at one d read the same normals, scaled
-    by their own B, so each d draws them once into two views of one flat
-    buffer, sized for the largest d.  A row takes its state norms and its
-    envelope count in one pass beside the Euler recursion
-    (``_moment_norms``), and forms no walk or envelope array.
+    by their own B.  Each d runs its paths in chunks of at most
+    ``_MOMENT_CHUNK_VALUES`` increment values per row, and each chunk draws
+    both rows once, into two step-major views of one flat buffer sized for
+    the largest chunk: each step's increments are contiguous, as the Euler
+    recursion reads them.  A row takes its state norms and its envelope
+    count chunk by chunk beside the recursion (``_moment_norms``), forms no
+    walk or envelope array, and runs its statistics on the (paths, 17)
+    norms of all chunks.  Each path's stream is keyed by its index, and
+    everything per path is elementwise, so chunking changes no draw; the
+    drift nets run on a chunk's batch, and the heat (zero) and OU (weights
+    0 and +-1) drifts give the same bits on any batch.
     """
     names = ("heat_relu", "ou_linear")
-    buffer = np.empty(len(names) * paths * sde._row_values(MOMENT_STEPS, max(MOMENT_DIMS)))
+    buffer = np.empty(len(names) * max(_moment_chunk_paths(paths, d) * MOMENT_STEPS * d for d in MOMENT_DIMS))
     per_d = [_moment_rows(names, d, q, paths, seed, buffer) for d in MOMENT_DIMS]
     rows = [row for per_name in zip(*per_d) for row in per_name]  # each problem's rows, d by d
     return [row for row, _ in rows], all(row_ok for _, row_ok in rows)
 
 
+def _moment_chunk_paths(paths: int, d: int) -> int:
+    """Paths per chunk of the moment rows at d: at most ``_MOMENT_CHUNK_VALUES`` increment values per row."""
+    return min(paths, max(1, _MOMENT_CHUNK_VALUES // (MOMENT_STEPS * d)))
+
+
 def _moment_rows(names, d: int, q: float, paths: int, seed: int, buffer):
-    # one function per d, so that its views of the buffer are gone before the next d's draw
     pbs = [problems.get_problem(name, d).problem for name in names]
     (T,) = {pb.T for pb in pbs}  # one horizon, so one scale for every row's increments
-    views = sde._path_rows(len(pbs) * paths, MOMENT_STEPS, d, buffer)
-    incs = [views[i * paths : (i + 1) * paths] for i in range(len(pbs))]
-    index = np.arange(paths, dtype=np.uint64)
-    # sample_brownian(seed + d, MOMENT_STEPS, paths, d, T, pb.B) for every pb, from one draw
-    sde._fill_increments(incs, seed + d, sde._TAG_INCREMENTS, index, [pb.B for pb in pbs], np.sqrt(T / MOMENT_STEPS))
-    return [_moment_row(name, pb, inc, q) for name, pb, inc in zip(names, pbs, incs)]
+    norms = [np.empty((paths, MOMENT_STEPS + 1)) for _ in pbs]
+    violations = [0] * len(pbs)
+    step = _moment_chunk_paths(paths, d)
+    for lo in range(0, paths, step):
+        hi = min(lo + step, paths)
+        counts = _moment_chunk(pbs, seed + d, lo, hi, T, buffer, [rows[lo:hi] for rows in norms])
+        violations = [v + n for v, n in zip(violations, counts)]
+    return [_moment_row(name, pb, rows, v, q) for name, pb, rows, v in zip(names, pbs, norms, violations)]
+
+
+def _moment_chunk(pbs, seed: int, lo: int, hi: int, T: float, buffer, norms):
+    # one function per chunk, so that its views of the buffer are gone before the next chunk's draw
+    m, d = hi - lo, pbs[0].d
+    # step-major: views[i, n] is row i of step n's (2m, d) block, so each step's increments are contiguous
+    views = buffer[: len(pbs) * m * MOMENT_STEPS * d].reshape(MOMENT_STEPS, len(pbs) * m, d).transpose(1, 0, 2)
+    incs = [views[i * m : (i + 1) * m] for i in range(len(pbs))]
+    index = np.arange(lo, hi, dtype=np.uint64)
+    # rows [lo, hi) of sample_brownian(seed, MOMENT_STEPS, paths, d, T, pb.B) for every pb, from one draw
+    sde._fill_increments(incs, seed, sde._TAG_INCREMENTS, index, [pb.B for pb in pbs], np.sqrt(T / MOMENT_STEPS))
+    x0 = np.full(d, 0.5)
+    return [
+        _moment_norms(x0, pb.drift_net, inc, T, pb.params.C, pb.params.c, out)[1]
+        for pb, inc, out in zip(pbs, incs, norms)
+    ]
 
 
 def _column_norms(a, square, out):
     """``np.linalg.norm(a, axis=1)`` of a (rows, d) array with d < 8, bitwise, written into ``out``.
 
     numpy's reduce adds fewer than 8 terms in sequence (from 8 on, its
-    pairwise sum groups them otherwise), so adding the squares column by
-    column, in a (rows, d) ``square`` buffer, gives its bits without its
-    per-row loop.
+    pairwise sum groups them otherwise, so d >= 8 raises ValueError), so
+    adding the squares column by column, in a (rows, d) ``square`` buffer,
+    gives its bits without its per-row loop.
     """
+    if a.shape[1] >= 8:
+        raise ValueError("column norms match np.linalg.norm only below 8 columns, got %d" % a.shape[1])
     np.multiply(a, a, out=square)
     total = square[:, 0]
     for j in range(1, a.shape[1]):
@@ -168,40 +202,44 @@ def _column_norms(a, square, out):
     return np.sqrt(total, out=out)
 
 
-def _moment_norms(x0, drift, increments, T: float, C: float, c: float):
-    """The (paths, N+1) norms ||Y_n|| of the Euler states, and how many exceed the Gronwall envelope.
+def _moment_norms(x0, drift, increments, T: float, C: float, c: float, out):
+    """The norms ||Y_n|| of the Euler states, written into the (paths, N+1) ``out``, and how many
+    exceed the Gronwall envelope; returns (out, count).
 
-    One pass beside the recursion.  At state n the noise walk's partial
-    sum gains step n - 1, and the running maximum of its norms (a (paths,)
-    vector) sets g_n = ``bounds.drift_growth_envelope`` at tau_n, widened
-    by a relative and an absolute 1e-12.  The norms and the count are
-    those of ``np.linalg.norm`` of the states, ``sde.walk_norms``,
-    ``np.maximum.accumulate`` and one envelope call on the whole grid,
-    bitwise; no walk or envelope array is formed.
+    One pass beside the recursion.  ``increments`` may have any strides;
+    the study's are step-major, so ``increments[:, n]`` is contiguous.  Each
+    state's norms go into a contiguous (paths,) vector, which the envelope
+    reads, and are then copied into ``out[:, n]``.  At state n the noise
+    walk's partial sum gains step n - 1, and the running maximum of its
+    norms (a (paths,) vector) sets g_n = ``bounds.drift_growth_envelope``
+    at tau_n, widened by a relative and an absolute 1e-12.  The norms and
+    the count are those of ``np.linalg.norm`` of the states,
+    ``sde.walk_norms``, ``np.maximum.accumulate`` and one envelope call on
+    the whole grid, bitwise; no walk or envelope array is formed.
     """
     paths, N, d = increments.shape
     x_norm = np.linalg.norm(x0)
     grid = np.arange(N + 1) * (T / N)
-    norms, square = np.empty((paths, N + 1)), np.empty((paths, d))
+    norm, square = np.empty(paths), np.empty((paths, d))
     partial, walk, running_max = np.zeros((paths, d)), np.empty(paths), np.zeros(paths)
     violations = 0
     for n, y in enumerate(sde.euler_states(x0, drift, increments, T)):
-        _column_norms(y, square, norms[:, n])
+        out[:, n] = _column_norms(y, square, norm)
         if n:
             partial += increments[:, n - 1]
             np.maximum(running_max, _column_norms(partial, square, walk), out=running_max)
         envelope = bounds.drift_growth_envelope(x_norm, C, c, grid[n : n + 1], running_max)
         envelope *= 1 + 1e-12
         envelope += 1e-12
-        violations += int(np.count_nonzero(norms[:, n] > envelope))
-    return norms, violations
+        violations += int(np.count_nonzero(norm > envelope))
+    return out, violations
 
 
-def _moment_row(name: str, pb, increments, q: float):
-    paths, _, d = increments.shape
+def _moment_row(name: str, pb, norms, violations: int, q: float):
+    """A row of ``moment_study`` from the (paths, N+1) state norms and the envelope violations."""
+    paths, d = len(norms), pb.d
     x0 = np.full(d, 0.5)
     C, c = pb.params.C, pb.params.c
-    norms, violations = _moment_norms(x0, pb.drift_net, increments, pb.T, C, c)
     powq = norms**q
     means = powq.mean(axis=0)
     n_star = int(np.argmax(means))

@@ -99,15 +99,32 @@ def test_mc_euler_functional_holds_one_chunk_at_a_time(monkeypatch):
     assert owners[0] is not None and all(o is owners[0] for o in owners)
 
 
-def test_moment_study_draws_each_d_once_into_one_buffer(monkeypatch):
-    # both rows of a d come from one draw into two views of one buffer, and no earlier d's views are alive
-    bases = []
-    alive, owners = _record_draws(
-        monkeypatch, sde, "_fill_increments", lambda outs, *args: bases.extend(o.base for o in outs) or outs[0], list
-    )
+# 11,200 values per row: chunks of 700, 350 and 140 paths at d = 1, 2 and 5, so 3,000 paths end in a partial chunk
+_SMALL_MOMENT_CHUNK = 16 * 700
+
+
+def test_moment_study_draws_each_chunk_once_into_step_major_views_of_one_buffer(monkeypatch):
+    # both rows of a chunk come from one draw into two step-major views of one buffer, within the
+    # chunk's budget, the chunks cover the paths in order, and no earlier chunk's views are alive
+    monkeypatch.setattr(studies, "_MOMENT_CHUNK_VALUES", _SMALL_MOMENT_CHUNK)
+    draws = []
+
+    def written(outs, seed, tag, index, *args):
+        draws.append(([(o.shape, o.strides, o.base, o.__array_interface__["data"][0]) for o in outs], index.copy()))
+        return outs[0]
+
+    alive, owners = _record_draws(monkeypatch, sde, "_fill_increments", written, list)
     studies.moment_study(paths=3000, seed=202)
-    assert len(alive) == len(studies.MOMENT_DIMS) == 3 and alive == [0] * 3
-    assert len(bases) == 6 and owners[0] is not None and all(b is owners[0] for b in bases)
+    assert len(alive) == 5 + 9 + 22 and alive == [0] * len(alive)
+    assert owners[0] is not None and all(o is owners[0] for o in owners)
+    covered = {}
+    for (heat, ou), index in draws:
+        (m, steps, d), strides, base, start = heat
+        assert steps == 16 and m * steps * d <= _SMALL_MOMENT_CHUNK and base is owners[0]
+        assert strides == (8 * d, 8 * 2 * m * d, 8)  # increments[:, n] is contiguous
+        assert ou == ((m, steps, d), strides, base, start + 8 * m * d)
+        covered.setdefault(d, []).append(index)
+    assert all(np.array_equal(np.concatenate(covered[d]), np.arange(3000)) for d in studies.MOMENT_DIMS)
 
 
 def _moment_row_oracle(name, d, q, paths, seed):
@@ -140,6 +157,18 @@ def test_moment_rows_of_one_shared_draw_are_the_rows_of_their_own_draws(q, paths
     assert rows == [row for row, _ in want] and ok == all(row_ok for _, row_ok in want)
 
 
+def _hex(rows):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("q", [2.0, 4.0])
+def test_moment_rows_of_partial_chunks_are_the_rows_of_their_own_draws(monkeypatch, q):
+    monkeypatch.setattr(studies, "_MOMENT_CHUNK_VALUES", _SMALL_MOMENT_CHUNK)
+    rows, ok = studies.moment_study(q=q, paths=3000, seed=31)
+    want = [_moment_row_oracle(name, d, q, 3000, 31) for name in ("heat_relu", "ou_linear") for d in (1, 2, 5)]
+    assert _hex(rows) == _hex(row for row, _ in want) and ok == all(row_ok for _, row_ok in want)
+
+
 def _violations_oracle(x0, increments, T, C, c, norms):
     """The envelope violations of the norms as the rows counted them, from the whole walk and envelope."""
     N = increments.shape[1]
@@ -155,12 +184,13 @@ def test_step_wise_walk_norms_are_walk_norms_bitwise(d):
     # the state norms bitwise, and the streamed envelope's count that of the whole arrays
     heat, x0 = problems.heat_relu_problem(d).problem, np.full(d, 0.5)
     drawn = sde.sample_brownian(9, 16, 500, d, heat.T, heat.B).increments
+    step_major = np.ascontiguousarray(drawn.transpose(1, 0, 2)).transpose(1, 0, 2)  # as the study lays them out
     edge = np.resize([0.0, -0.0, 5e-324, -2.5e-310, 1e150, -3.0, 0.7, 1e-160], (40, 16, d))
     for name in ("heat_relu", "ou_linear"):
         pb = problems.get_problem(name, d).problem
         C, c = pb.params.C, pb.params.c
-        for inc in (drawn, edge):
-            norms, violations = studies._moment_norms(x0, pb.drift_net, inc, pb.T, C, c)
+        for inc in (drawn, step_major, edge):
+            norms, violations = studies._moment_norms(x0, pb.drift_net, inc, pb.T, C, c, out=np.empty((len(inc), 17)))
             states = sde.euler_states(x0, pb.drift_net, inc, pb.T)
             assert norms.tobytes() == np.stack([np.linalg.norm(y, axis=1) for y in states], axis=1).tobytes()
             assert violations == _violations_oracle(x0, inc, pb.T, C, c, norms)
@@ -174,11 +204,13 @@ def test_envelope_count_fails_states_the_envelope_does_not_bound(d):
     params = dataclasses.replace(pb.params, kappa=4.0)
     pushed = dataclasses.replace(pb, drift_net=nets.affine_net(4.0 * np.eye(d)), params=params)
     inc = sde.sample_brownian(9, 16, 500, d, pb.T, pb.B).increments
-    norms, violations = studies._moment_norms(x0, pushed.drift_net, inc, pb.T, pb.params.C, pb.params.c)
-    assert 0 < violations == _violations_oracle(x0, inc, pb.T, pb.params.C, pb.params.c, norms)
-    row, row_ok = studies._moment_row("ou_linear", pushed, inc, 2.0)
+    C, c = pb.params.C, pb.params.c
+    norms, violations = studies._moment_norms(x0, pushed.drift_net, inc, pb.T, C, c, out=np.empty((500, 17)))
+    assert 0 < violations == _violations_oracle(x0, inc, pb.T, C, c, norms)
+    row, row_ok = studies._moment_row("ou_linear", pushed, norms, violations, 2.0)
     assert row[-1] == violations and not row_ok
-    assert studies._moment_row("ou_linear", pb, inc, 2.0)[0][-1] == 0
+    unpushed = studies._moment_norms(x0, pb.drift_net, inc, pb.T, C, c, out=np.empty((500, 17)))
+    assert studies._moment_row("ou_linear", pb, *unpushed, 2.0)[0][-1] == 0
 
 
 @pytest.mark.parametrize("d", range(1, 8))
@@ -195,11 +227,25 @@ def test_column_norms_are_linalg_norms_bitwise(d):
         assert got.base is column.base and got.tobytes() == want.tobytes()
 
 
+def test_column_norms_reject_eight_columns():
+    # from 8 terms on numpy's pairwise sum groups the squares otherwise, so the bits would differ
+    a = np.ones((10, 8))
+    with pytest.raises(ValueError, match="below 8 columns, got 8"):
+        studies._column_norms(a, np.empty_like(a), np.empty(10))
+
+
 def test_study_euler_stdout_is_pinned(capsys):
     # the moment rows print only the walk norms' violation count, so the rows are pinned whole
     assert cli.main(["study", "euler", "--paths", "20000"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == "327a560667f31f833afaadcdf6e43545115820f418ee752aa2a42c615a7a301b"
+
+
+def test_study_euler_stdout_at_the_benchmarks_paths_is_pinned(capsys):
+    # the benchmark's own command: 100,000 interpolation paths and 20,000 moment paths
+    assert cli.main(["study", "euler", "--paths", "100000"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == "58d99d6c27bf33cdb76e2ac885c162456ae6de9bcc16c8fc252bc6a19e63c39c"
 
 
 @pytest.mark.parametrize("elements", [800, 5 * 800, 1 << 22])
