@@ -10,9 +10,10 @@ All commands are deterministic given their flags; seeds are explicit.
 Exit codes: 0 success, 1 bound violation, 2 input/IO error.  Flags beat
 values from ``--config`` (a JSON file mirroring flag names), which beat
 built-in defaults.  KOLMONET_THREADS, a positive integer, caps the
-Brownian sampler's threads (one per CPU by default), and BLAS parallelism
-too when set before the interpreter first loads numpy; any other
-nonempty value exits 2 before any work.
+threads of the Brownian sampler's draws of long streams (one per CPU by
+default; streams of fewer than 512 words draw on the calling thread),
+and BLAS parallelism too when set before the interpreter first loads
+numpy; any other nonempty value exits 2 before any work.
 """
 
 import os

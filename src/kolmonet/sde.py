@@ -31,14 +31,18 @@ adding 2^-54, and give the same bits; the tests compare them with the
 
 Threads: the paths of a draw run in chunks of max(1, _CHUNK_BLOCKS //
 ceil(N k / 4)) paths, so a chunk of short streams is one Philox pass of
-at most _CHUNK_BLOCKS blocks.  A draw of one chunk runs inline.  A draw of
-more chunks starts its own pool, one thread per CPU of the process capped
-by KOLMONET_THREADS and by the chunk count, and joins it before it
-returns: no thread outlives a draw.  A draw may fill several outputs, one
-per diffusion factor: a chunk's normals are drawn once and feed every
-factor, each through one batched product of the same shape on any
-thread, so the bits depend neither on the thread count nor on the other
-outputs.  The calling thread allocates each thread's normals, products and
+at most _CHUNK_BLOCKS blocks.  A draw of one chunk runs inline, and so
+does a draw of short streams (fewer than _ROW_STREAM_WORDS words): its
+vectorized rounds are hundreds of short numpy calls that release the GIL
+only briefly, so a second thread adds CPU time but no speed.  A draw of
+more chunks of long streams, whose C ``Philox`` and ``ndtri`` release the
+GIL in large pieces, starts its own pool, one thread per CPU of the
+process capped by KOLMONET_THREADS and by the chunk count, and joins it
+before it returns: no thread outlives a draw.  A draw may fill several
+outputs, one per diffusion factor: a chunk's normals are drawn once and
+feed every factor, each through one batched product of the same shape on
+any thread, so the bits depend neither on the thread count nor on the
+other outputs.  The calling thread allocates each thread's normals, products and
 Philox state, and the threads allocate nothing large: glibc keeps a
 thread's freed blocks in that thread's heap, so temporaries made on two
 threads would raise the peak memory.
@@ -244,8 +248,9 @@ def _fill_increments(outs, seed: int, tag: int, index: np.ndarray, Bs, scale):
     are drawn once and feed every pair through the product a one-pair draw
     runs, so each output has the bits of its own draw.  The streams run in
     chunks of max(1, _CHUNK_BLOCKS // ceil(n / 4)), each one Philox pass.
-    A draw of more than one chunk runs them on a pool of at most
-    ``_workers()`` threads that it starts and joins (see the module
+    A draw of more than one chunk of long streams (n >= _ROW_STREAM_WORDS)
+    runs them on a pool of at most ``_workers()`` threads that it starts
+    and joins; short streams run inline on this thread (see the module
     docstring).  The threads call only private functions, and write into
     buffers this thread allocates.  A 1 x 1 matrix B scales elementwise
     instead of the matmul, with the same bits.  Returns ``outs``.
@@ -260,7 +265,7 @@ def _fill_increments(outs, seed: int, tag: int, index: np.ndarray, Bs, scale):
     n = int(np.prod(inner, dtype=np.int64)) * k
     rows = min(count, max(1, _CHUNK_BLOCKS // -(-n // 4)))
     starts = range(0, count, rows)
-    size = 1 if len(starts) == 1 else min(_workers(), len(starts))
+    size = 1 if len(starts) == 1 or n < _ROW_STREAM_WORDS else min(_workers(), len(starts))
     buffers = queue.SimpleQueue()
     for _ in range(size):
         buffers.put((np.empty((rows, n)), np.empty((rows, *inner, d)), _scratch(seed, tag, n, rows)))

@@ -341,10 +341,11 @@ def _mc_euler_functional_errors(tp, N, M, K, seed):
     P (x) nu integrated error): point i draws its M x N x k normals from
     the stream keyed (seed, 7 << 48 | i), so the result does not depend on
     how the points are chunked.  Points run in the chunks of ``sde.mc_values``,
-    one chunk alive at a time, and each chunk's paths are drawn by the
-    sampler's threads, one point's stream per task when a stream holds at
-    least 4 * ``sde._CHUNK_BLOCKS`` normals.  Every chunk fills a leading
-    slice of one (points per chunk, M, N, d) buffer.
+    one chunk alive at a time.  A chunk's per-point streams of fewer than
+    ``sde._ROW_STREAM_WORDS`` words draw inline on this thread; longer ones
+    are drawn by the sampler's threads, one point's stream per task when a
+    stream holds at least 4 * ``sde._CHUNK_BLOCKS`` normals.  Every chunk
+    fills a leading slice of one (points per chunk, M, N, d) buffer.
     """
     pb = tp.problem
     ts, xs = tp.measure.sample(K, seed)

@@ -334,6 +334,10 @@ def _sampler_threads():
     return [t for t in threading.enumerate() if t.name.startswith("kolmonet-sampler")]
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a pool was made")
+
+
 @pytest.mark.parametrize(
     "N, B",
     [
@@ -352,13 +356,13 @@ def test_sample_brownian_bits_do_not_depend_on_the_thread_count(monkeypatch, poo
     assert pools == []
     pool_size(size)
     got = sde.sample_brownian(3, N, M, d, 0.8, B, first=first).increments
-    assert pools == ([size] if size > 1 else [])
+    assert pools == ([size] if size > 1 and N * B.shape[1] >= sde._ROW_STREAM_WORDS else [])  # short ones draw inline
     assert got.strides == serial.strides and np.array_equal(got, serial)
     assert np.array_equal(got, _per_path_increments(3, N, first + M, 0.8, B)[first:])
 
 
-@pytest.mark.parametrize("N", [3, 600])
-def test_sampler_threads_beyond_the_cpus_keep_their_buffers_apart(monkeypatch, pool_size, N):
+@pytest.mark.parametrize("N", [3, 600])  # N*k = 6: short streams, drawn inline at any thread count; 1,200: long
+def test_sampler_threads_beyond_the_cpus_keep_their_buffers_apart(monkeypatch, pool_size, pools, N):
     # more threads than CPUs, switching every microsecond: a buffer two chunks shared would mix their paths,
     # and a product buffer two outputs of a chunk shared would mix their factors
     monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 8)
@@ -376,6 +380,7 @@ def test_sampler_threads_beyond_the_cpus_keep_their_buffers_apart(monkeypatch, p
             assert all(np.array_equal(out, w) for out, w in zip(outs, shared))
     finally:
         sys.setswitchinterval(interval)
+    assert pools == ([6] * 6 if N == 600 else [])
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
@@ -453,20 +458,42 @@ def test_no_sampler_thread_outlives_a_draw(monkeypatch, pool_size, chunk_threads
     monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 4)  # 6 chunks of the 6 paths
     pool_size(2)
     sde.sample_brownian(1, n, 6, 1, 1.0)
-    assert len(chunk_threads) == 6 and all(name.startswith("kolmonet-sampler") for name in chunk_threads)
+    assert len(chunk_threads) == 6
+    if n < sde._ROW_STREAM_WORDS:  # short streams draw on the calling thread
+        assert chunk_threads == [threading.current_thread().name] * 6
+    else:
+        assert all(name.startswith("kolmonet-sampler") for name in chunk_threads)
     assert _sampler_threads() == []
 
 
 def test_each_draw_makes_its_own_pool_sized_for_its_chunks(monkeypatch, pool_size, pools, chunk_threads):
-    # 16 normals a path, 4 Philox blocks a chunk: one path per chunk
+    # 512 normals a path, the first long stream, and 4 Philox blocks a chunk: one path per chunk
     monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 4)
     pool_size(8)
-    sde.sample_brownian(5, 16, 2, 1, 1.0)
+    sde.sample_brownian(5, 512, 2, 1, 1.0)
     assert pools == [2] and len(set(chunk_threads)) <= 2
-    del chunk_threads[:]
-    sde.sample_brownian(5, 16, 25, 1, 1.0)
-    assert pools == [2, 8] and len(chunk_threads) == 25 and len(set(chunk_threads)) <= 8
+    assert all(name.startswith("kolmonet-sampler") for name in chunk_threads)
     assert _sampler_threads() == []
+    del chunk_threads[:]
+    sde.sample_brownian(5, 512, 25, 1, 1.0)
+    assert pools == [2, 8] and len(chunk_threads) == 25 and len(set(chunk_threads)) <= 8
+    assert all(name.startswith("kolmonet-sampler") for name in chunk_threads)
+    assert _sampler_threads() == []
+
+
+@pytest.mark.parametrize("n", [16, 511])  # a moment row's stream, and the longest short stream
+def test_a_short_stream_draw_of_many_chunks_runs_on_the_calling_thread(monkeypatch, pool_size, chunk_threads, n):
+    # one path per chunk: 25 chunks, all inline however many threads the sampler may use
+    monkeypatch.setattr(sde, "_CHUNK_BLOCKS", 4)
+    pool_size(1)
+    serial = sde.sample_brownian(5, n, 25, 1, 1.0).increments
+    monkeypatch.setattr(sde, "ThreadPoolExecutor", _no_pool)
+    del chunk_threads[:]
+    pool_size(8)
+    got = sde.sample_brownian(5, n, 25, 1, 1.0).increments
+    assert chunk_threads == [threading.current_thread().name] * 25
+    assert got.strides == serial.strides and np.array_equal(got, serial)
+    assert np.array_equal(got, _per_path_increments(5, n, 25, 1.0, np.eye(1)))
 
 
 def test_a_chunk_of_short_streams_is_one_philox_pass(monkeypatch, pool_size):
@@ -488,10 +515,7 @@ def test_a_chunk_of_short_streams_is_one_philox_pass(monkeypatch, pool_size):
 
 
 def test_a_one_chunk_draw_starts_no_thread(monkeypatch, pool_size):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was made")
-
-    monkeypatch.setattr(sde, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(sde, "ThreadPoolExecutor", _no_pool)
     pool_size(2)
     sde.sample_brownian(2026, 8, 64, 1, 1.0)  # the reference build's draw
     pool_size(1)
