@@ -25,19 +25,33 @@ from functools import cached_property
 import numpy as np
 
 
-# The arrays _freeze made, by id; an entry dies with its array.  Each owns
-# its data and is read-only, so it is shared as it is rather than copied.
+# The arrays _own froze, by id; an entry dies with its array.  Each owns its
+# data and is read-only, so it is shared as it is rather than copied.
 _frozen = weakref.WeakValueDictionary()
 
 
-def _freeze(a):
-    if _frozen.get(id(a)) is a:
-        return a
-    # adding 0.0 canonicalizes -0.0 entries, keeping serialization stable
-    a = np.asarray(a, dtype=np.float64) + 0.0
+def _own(a):
+    """Freeze ``a``, a fresh float64 array that nothing else holds, in place."""
+    a += 0.0  # makes -0.0 entries +0.0, keeping serialization stable
     a.flags.writeable = False
     _frozen[id(a)] = a
     return a
+
+
+def _freeze(a):
+    """``a`` itself if ``_own`` froze it, else a frozen float64 copy of it."""
+    return a if _frozen.get(id(a)) is a else _own(np.array(a, dtype=np.float64))
+
+
+def _assemble(shape, tiles):
+    """The frozen weight of ``shape`` holding each (row, column, array) tile
+    at that offset, zeros elsewhere: every weight made of parts is written
+    here, each tile once, into one fresh array that a ``Layer`` shares."""
+    out = np.zeros(shape)
+    for r, c, a in tiles:
+        a = np.asarray(a)
+        out[r : r + a.shape[0], c : c + a.shape[1]] = a
+    return _own(out)
 
 
 @dataclass(frozen=True)
@@ -46,8 +60,8 @@ class Layer:
 
     weight has shape (out, in), bias has shape (out,), or (M, out) for one
     layer shared by M members that have the same weight and differ only
-    in their biases.  Arrays a layer owns are shared with the layers built
-    from them, never copied.
+    in their biases.  Arrays from ``_assemble``, ``compose`` or another
+    layer are shared as they are; others are copied, -0.0 made +0.0.
     """
 
     weight: np.ndarray
@@ -356,7 +370,7 @@ def compose(f: Network, g: Network) -> Network:
     w1, b1 = f.layers[0].weight, f.layers[0].bias
     wl, bl = g.layers[-1].weight, g.layers[-1].bias
     # a batch of matrix-vector products; bl @ w1.T would round differently
-    fused = Layer(w1 @ wl, np.matmul(w1, bl[..., None])[..., 0] + b1)
+    fused = Layer(_own(w1 @ wl), np.matmul(w1, bl[..., None])[..., 0] + b1)
     return Network(g.layers[:-1] + (fused,) + f.layers[1:])
 
 
@@ -369,12 +383,8 @@ def identity_net(d: int) -> Network:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     eye = np.eye(d)
-    return Network(
-        (
-            Layer(np.vstack([eye, -eye]), np.zeros(2 * d)),
-            Layer(np.hstack([eye, -eye]), np.zeros(d)),
-        )
-    )
+    pairs = Layer(_assemble((2 * d, d), [(0, 0, eye), (d, 0, -eye)]), np.zeros(2 * d))
+    return Network((pairs, Layer(_assemble((d, 2 * d), [(0, 0, eye), (0, d, -eye)]), np.zeros(d))))
 
 
 def concat_with_identity(f: Network, g: Network) -> Network:
@@ -410,18 +420,6 @@ def select_inputs(net: Network, indices, in_dim: int) -> Network:
     return compose(net, affine_net(np.eye(in_dim)[list(indices)]))
 
 
-def _block_diag(mats):
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for m in mats:
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
-
-
 def average_nets(nets, weights) -> Network:
     """Single network realizing ``sum_m weights[m] * realize(nets[m], x)``.
 
@@ -440,10 +438,11 @@ def average_nets(nets, weights) -> Network:
         raise ValueError("one weight per network required")
     if not nets:
         raise ValueError("need at least one network")
-    eye = np.eye(nets[0].out_dim)
-    if any(n.out_dim != len(eye) for n in nets):
+    d = nets[0].out_dim
+    if any(n.out_dim != d for n in nets):
         raise ValueError("networks must share the output dimension")
-    return compose(affine_net(np.hstack([w * eye for w in weights])), parallel_stack(nets))
+    mix = _assemble((d, d * len(nets)), [(0, m * d, w * np.eye(d)) for m, w in enumerate(weights)])
+    return compose(affine_net(mix), parallel_stack(nets))
 
 
 def pipeline_average(template: Network, M: int) -> Network:
@@ -462,24 +461,29 @@ def pipeline_average(template: Network, M: int) -> Network:
     if any(l.bias.ndim == 2 and len(l.bias) != M for l in template.layers):
         raise ValueError("template biases must carry %d members" % M)
     pairs = 2 * P
-    carry, quiet = np.eye(pairs + 2), np.zeros(pairs + 2)  # the carried pairs, then the accumulator pair
-    read = np.hstack([np.eye(P), -np.eye(P), np.zeros((P, 2))])
+    A = pairs + 2  # the carried pairs, then the accumulator pair
+    carry, quiet = np.eye(A), np.zeros(A)
 
     def biases(*parts):  # the (M, rows) table of the member biases
         return np.concatenate([np.broadcast_to(b, (M, b.shape[-1])) for b in parts], axis=-1)
 
     first, *hidden, out = template.layers
-    difference = _block_diag([np.eye(pairs), np.array([[1.0, -1.0], [-1.0, 1.0]])])
-    add = np.vstack([np.zeros((pairs, out.in_dim)), out.weight, -out.weight])
-    # each weight is frozen as it is formed, so its unfrozen copy is freed before the next forms
-    blocks = [(_freeze(np.vstack([carry, first.weight @ read])), biases(quiet, first.bias))]
-    blocks += [(_freeze(_block_diag([carry, l.weight])), biases(quiet, l.bias)) for l in hidden]
-    blocks.append((_freeze(np.hstack([difference, add])), biases(np.zeros(pairs), out.bias, -out.bias)))
-    layers = [Layer(read.T, quiet)]
+    # the first block reads the pairs: first.weight @ [I, -I] is [W, -W], bit for bit
+    W = first.weight
+    blocks = [(_assemble((A + first.out_dim, A), [(0, 0, carry), (A, 0, W), (A, P, -W)]), biases(quiet, first.bias))]
+    for l in hidden:
+        weight = _assemble((A + l.out_dim, A + l.in_dim), [(0, 0, carry), (A, A, l.weight)])
+        blocks.append((weight, biases(quiet, l.bias)))
+    # the pairs pass on, and the accumulator pair adds the member's signed output
+    W = out.weight
+    tiles = [(0, 0, carry[:pairs, :pairs]), (pairs, pairs, [[1.0, -1.0], [-1.0, 1.0]])]
+    weight = _assemble((A, A + out.in_dim), tiles + [(pairs, A, W), (pairs + 1, A, -W)])
+    blocks.append((weight, biases(np.zeros(pairs), out.bias, -out.bias)))
+    layers = [Layer(_assemble((A, P), [(0, 0, np.eye(P)), (P, 0, -np.eye(P))]), quiet)]
     for m in range(M):
         layers.extend(Layer(w, b[m]) for w, b in blocks)
     scale = 1.0 / M
-    layers.append(Layer(np.hstack([np.zeros((1, pairs)), [[scale, -scale]]]), np.zeros(1)))
+    layers.append(Layer(_assemble((1, A), [(0, pairs, [[scale, -scale]])]), np.zeros(1)))
     return Network(tuple(layers))
 
 
@@ -507,9 +511,13 @@ def parallel_stack(nets) -> Network:
         lead = np.broadcast_shapes(*(b.shape[:-1] for b in bs))
         return np.concatenate([np.broadcast_to(b, lead + b.shape[-1:]) for b in bs], axis=-1)
 
-    layers = [Layer(np.vstack([n.layers[0].weight for n in nets]), biases(0))]
-    for k in range(1, depth):
-        layers.append(Layer(_block_diag([n.layers[k].weight for n in nets]), biases(k)))
+    layers = []
+    for k in range(depth):
+        ws = [n.layers[k].weight for n in nets]
+        rows = np.cumsum([0] + [len(w) for w in ws])
+        # the first layers all read the shared input, each later one its own net's features
+        cols = np.cumsum([0] + [w.shape[1] for w in ws]) if k else [0] * len(ws) + [nets[0].in_dim]
+        layers.append(Layer(_assemble((rows[-1], cols[-1]), zip(rows, cols, ws)), biases(k)))
     return Network(tuple(layers))
 
 
@@ -543,42 +551,30 @@ def product_net(eps: float, R: float = 1.0) -> Network:
         )
     K = product_depth_stages(eps, R)
     s = 1.0 / (2.0 * R)
-    layers = []
     # (a, b) -> rectified halves of (a+b)/2R and (a-b)/2R
-    layers.append(
-        Layer(np.array([[s, s], [-s, -s], [s, -s], [-s, s]]), np.zeros(4))
-    )
-    # reassemble u = |.| per branch and take the sawtooth basis of u
-    basis = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-    shift = np.array([0.0, -0.5, -1.0])
-    layers.append(
-        Layer(
-            _block_diag([basis, basis]),
-            np.concatenate([shift, shift]),
-        )
-    )
-    # each stage k maps (basis of t_{k-1}, F_{k-1}) -> (basis of t_k, F_k)
-    # with t_k = 2 r1 - 4 r2 + 2 r3 and F_k = relu(F_{k-1} - 4^{-k} t_k)
+    layers = [Layer(np.array([[s, s], [-s, -s], [s, -s], [-s, s]]), np.zeros(4))]
     saw = np.array([2.0, -4.0, 2.0])
+
+    def branches(blk):  # one block per square branch, side by side on the diagonal
+        r, c = blk.shape
+        return _assemble((2 * r, 2 * c), [(0, 0, blk), (r, c, blk)])
+
+    def stage(k):  # (basis of t_{k-1}, F_{k-1}) -> (basis of t_k, F_k) of one branch
+        if k == 1:  # F_0 equals the first basis channel (u itself)
+            return np.array([saw, saw, saw, np.array([1.0, 0.0, 0.0]) - 0.25 * saw])
+        blk = np.zeros((4, 4))
+        blk[:3, :3] = saw
+        blk[3, :3] = -(4.0 ** -k) * saw
+        blk[3, 3] = 1.0
+        return blk
+
+    # reassemble u = |.| per branch and take the sawtooth basis of u
+    layers.append(Layer(branches(np.ones((3, 2))), np.tile([0.0, -0.5, -1.0], 2)))
+    # t_k = 2 r1 - 4 r2 + 2 r3 and F_k = relu(F_{k-1} - 4^{-k} t_k)
     for k in range(1, K):
-        if k == 1:
-            # F_0 equals the first basis channel (u itself)
-            blk = np.vstack([saw, saw, saw, np.array([1.0, 0.0, 0.0]) - 0.25 * saw])
-        else:
-            blk = np.zeros((4, 4))
-            blk[:3, :3] = np.vstack([saw, saw, saw])
-            blk[3, :3] = -(4.0 ** -k) * saw
-            blk[3, 3] = 1.0
-        bias = np.array([0.0, -0.5, -1.0, 0.0])
-        layers.append(Layer(_block_diag([blk, blk]), np.concatenate([bias, bias])))
+        layers.append(Layer(branches(stage(k)), np.tile([0.0, -0.5, -1.0, 0.0], 2)))
     # final stage keeps only the running values F_K
-    if K == 1:
-        fin = (np.array([1.0, 0.0, 0.0]) - 0.25 * saw)[None, :]
-    else:
-        fin = np.zeros((1, 4))
-        fin[0, :3] = -(4.0 ** -K) * saw
-        fin[0, 3] = 1.0
-    layers.append(Layer(_block_diag([fin, fin]), np.zeros(2)))
+    layers.append(Layer(branches(stage(K)[3:]), np.zeros(2)))
     # signed difference of the two branches through a rectifier pair
     layers.append(Layer(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2)))
     layers.append(Layer(np.array([[R * R, -R * R]]), np.zeros(1)))

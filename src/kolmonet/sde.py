@@ -443,10 +443,13 @@ def walk_norms(increments) -> np.ndarray:
 
 
 def _as_fn(fn):
-    """A callable on (batch, d) arrays from a Network, a callable, or None (zero)."""
+    """A callable on (batch, d) arrays from a Network, a callable, or None (zero).
+    An all-zero Network (heat's drift) gives zeros, the bits of its ``realize``."""
     if fn is None:
         return lambda y: np.zeros_like(y)
     if isinstance(fn, Network):
+        if not any(l.weight.any() or l.bias.any() for l in fn.layers):
+            return lambda y: np.zeros((len(y), fn.out_dim))
         return lambda y: realize(fn, y)
     return fn
 

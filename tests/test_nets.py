@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kolmonet import build, nets, problems
+from kolmonet import bounds, build, nets, problems
 
 
 def straight_line_eval(net, x):
@@ -546,6 +546,25 @@ def test_stacked_layers_mix_vector_and_member_biases():
             _assert_layers_equal(_member(together, m), combine([_member(n, m) for n in group]))
 
 
+def _stacked_biases(members, k):
+    bs = [n.layers[k].bias for n in members]
+    lead = np.broadcast_shapes(*(b.shape[:-1] for b in bs))
+    return np.concatenate([np.broadcast_to(b, lead + b.shape[-1:]) for b in bs], axis=-1)
+
+
+def _block_diag(mats):
+    # the block-diagonal assembly nets used before its tile assembler
+    rows = sum(m.shape[0] for m in mats)
+    cols = sum(m.shape[1] for m in mats)
+    out = np.zeros((rows, cols))
+    r = c = 0
+    for m in mats:
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r += m.shape[0]
+        c += m.shape[1]
+    return out
+
+
 def _average_nets_old(members, weights):
     # the assembly average_nets replaced: pad, stack all layers but the last
     # side by side, join the weighted last layers in one hstack; nets of depth
@@ -559,14 +578,9 @@ def _average_nets_old(members, weights):
         b = sum(wt * n.layers[0].bias for wt, n in zip(weights, members))
         return nets.Network((nets.Layer(w, b),))
 
-    def biases(k):
-        bs = [n.layers[k].bias for n in members]
-        lead = np.broadcast_shapes(*(b.shape[:-1] for b in bs))
-        return np.concatenate([np.broadcast_to(b, lead + b.shape[-1:]) for b in bs], axis=-1)
-
-    layers = [nets.Layer(np.vstack([n.layers[0].weight for n in members]), biases(0))]
+    layers = [nets.Layer(np.vstack([n.layers[0].weight for n in members]), _stacked_biases(members, 0))]
     for k in range(1, depth - 1):
-        layers.append(nets.Layer(nets._block_diag([n.layers[k].weight for n in members]), biases(k)))
+        layers.append(nets.Layer(_block_diag([n.layers[k].weight for n in members]), _stacked_biases(members, k)))
     layers.append(
         nets.Layer(
             np.hstack([wt * n.layers[-1].weight for wt, n in zip(weights, members)]),
@@ -635,6 +649,189 @@ def test_member_axis_network_is_neither_realized_nor_written():
     with pytest.raises(ValueError, match="member axis"):
         nets.write_network(buf, net)
     assert buf.getvalue() == ""
+
+
+# ---------------------------------------------------------------------------
+# the tile assembler against the stacking calls it replaced
+
+
+def _identity_net_old(d):
+    eye = np.eye(d)
+    return nets.Network(
+        (nets.Layer(np.vstack([eye, -eye]), np.zeros(2 * d)), nets.Layer(np.hstack([eye, -eye]), np.zeros(d)))
+    )
+
+
+def _parallel_stack_old(members):
+    depth = max(n.depth for n in members)
+    members = [nets.extend_length(n, depth) for n in members]
+    if len(members) == 1:
+        return members[0]
+    layers = [nets.Layer(np.vstack([n.layers[0].weight for n in members]), _stacked_biases(members, 0))]
+    for k in range(1, depth):
+        layers.append(nets.Layer(_block_diag([n.layers[k].weight for n in members]), _stacked_biases(members, k)))
+    return nets.Network(tuple(layers))
+
+
+def _average_nets_mixing_old(members, weights):
+    eye = np.eye(members[0].out_dim)
+    return nets.compose(nets.affine_net(np.hstack([w * eye for w in weights])), nets.parallel_stack(members))
+
+
+def _pipeline_average_old(template, M):
+    P = template.in_dim
+    pairs = 2 * P
+    carry, quiet = np.eye(pairs + 2), np.zeros(pairs + 2)
+    read = np.hstack([np.eye(P), -np.eye(P), np.zeros((P, 2))])
+
+    def biases(*parts):
+        return np.concatenate([np.broadcast_to(b, (M, b.shape[-1])) for b in parts], axis=-1)
+
+    first, *hidden, out = template.layers
+    difference = _block_diag([np.eye(pairs), np.array([[1.0, -1.0], [-1.0, 1.0]])])
+    add = np.vstack([np.zeros((pairs, out.in_dim)), out.weight, -out.weight])
+    blocks = [(np.vstack([carry, first.weight @ read]), biases(quiet, first.bias))]
+    blocks += [(_block_diag([carry, l.weight]), biases(quiet, l.bias)) for l in hidden]
+    blocks.append((np.hstack([difference, add]), biases(np.zeros(pairs), out.bias, -out.bias)))
+    layers = [nets.Layer(read.T, quiet)]
+    for m in range(M):
+        layers.extend(nets.Layer(w, b[m]) for w, b in blocks)
+    scale = 1.0 / M
+    layers.append(nets.Layer(np.hstack([np.zeros((1, pairs)), [[scale, -scale]]]), np.zeros(1)))
+    return nets.Network(tuple(layers))
+
+
+def _product_net_old(eps, R=1.0):
+    K = nets.product_depth_stages(eps, R)
+    s = 1.0 / (2.0 * R)
+    layers = [nets.Layer(np.array([[s, s], [-s, -s], [s, -s], [-s, s]]), np.zeros(4))]
+    basis = np.ones((3, 2))
+    shift = np.array([0.0, -0.5, -1.0])
+    layers.append(nets.Layer(_block_diag([basis, basis]), np.concatenate([shift, shift])))
+    saw = np.array([2.0, -4.0, 2.0])
+    for k in range(1, K):
+        if k == 1:
+            blk = np.vstack([saw, saw, saw, np.array([1.0, 0.0, 0.0]) - 0.25 * saw])
+        else:
+            blk = np.zeros((4, 4))
+            blk[:3, :3] = np.vstack([saw, saw, saw])
+            blk[3, :3] = -(4.0 ** -k) * saw
+            blk[3, 3] = 1.0
+        bias = np.array([0.0, -0.5, -1.0, 0.0])
+        layers.append(nets.Layer(_block_diag([blk, blk]), np.concatenate([bias, bias])))
+    if K == 1:
+        fin = (np.array([1.0, 0.0, 0.0]) - 0.25 * saw)[None, :]
+    else:
+        fin = np.zeros((1, 4))
+        fin[0, :3] = -(4.0 ** -K) * saw
+        fin[0, 3] = 1.0
+    layers.append(nets.Layer(_block_diag([fin, fin]), np.zeros(2)))
+    layers.append(nets.Layer(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2)))
+    layers.append(nets.Layer(np.array([[R * R, -R * R]]), np.zeros(1)))
+    return nets.Network(tuple(layers))
+
+
+_OLD_ASSEMBLY = {
+    "identity_net": _identity_net_old,
+    "parallel_stack": _parallel_stack_old,
+    "average_nets": _average_nets_mixing_old,
+    "pipeline_average": _pipeline_average_old,
+    "product_net": _product_net_old,
+}
+
+
+def _old_assembly(monkeypatch, make):
+    # make() with every multi-part weight stacked as before; nets, problems and build call through the module
+    with monkeypatch.context() as patch:
+        for name, old in _OLD_ASSEMBLY.items():
+            patch.setattr(nets, name, old)
+        return make()
+
+
+def _assert_assembled(net):
+    # every weight is frozen, holds no -0.0, and is shared by a Layer as it is
+    for layer in net.layers:
+        w = layer.weight
+        assert not w.flags.writeable and not np.signbit(w[w == 0.0]).any()
+        assert nets.Layer(layer.weight, layer.bias).weight is layer.weight
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_identity_net_gives_the_old_bits(d):
+    new = nets.identity_net(d)
+    _assert_layers_equal(new, _identity_net_old(d))
+    _assert_assembled(new)
+
+
+@pytest.mark.parametrize("eps, R, K", [(1.0, 1.0, 1), (2.0**-4, 1.0, 2), (2.0**-6, 1.0, 3), (2.0**-12, 8.0, 9)])
+def test_product_net_gives_the_old_bits(eps, R, K):
+    assert nets.product_depth_stages(eps, R) == K
+    new = nets.product_net(eps, R)
+    _assert_layers_equal(new, _product_net_old(eps, R))
+    _assert_assembled(new)
+
+
+def test_parallel_stack_gives_the_old_bits():
+    # member axes, identity padding of shallower nets, and a one-net stack
+    gen = np.random.default_rng(21)
+    group = _mixed_member_group(3)
+    deep = [random_net(gen, (2, 3)), random_net(gen, (2, 4, 1)), random_net(gen, (2, 5, 3, 3, 2))]
+    for members in (group, deep, deep[1:2]):
+        new = nets.parallel_stack(members)
+        _assert_layers_equal(new, _parallel_stack_old(members))
+        _assert_assembled(new)
+
+
+@pytest.mark.parametrize("M", [1, 3])
+@pytest.mark.parametrize("dims", [(2, 5, 1), (2, 5, 4, 1), (3, 6, 5, 4, 1)])
+def test_pipeline_average_gives_the_old_bits(dims, M):
+    # zeros in the template's weights make -0.0 in the negated tiles, which must come out +0.0
+    template = _shared_weight_template(31, dims, M)
+    template = nets.Network(
+        tuple(nets.Layer(np.where(np.abs(l.weight) < 0.3, 0.0, l.weight), l.bias) for l in template.layers)
+    )
+    new = nets.pipeline_average(template, M)
+    _assert_layers_equal(new, _pipeline_average_old(template, M))
+    _assert_assembled(new)
+
+
+def _solve(maker, d, N, M):
+    return build.solve(maker(d).problem, bounds.Budget(N=N, M=M, delta=2.0**-8), seed=2026).net
+
+
+@pytest.mark.parametrize(
+    "maker, d, N, M",
+    [
+        (problems.heat_relu_problem, 1, 3, 1),
+        (problems.heat_relu_problem, 2, 2, 3),
+        (problems.ou_linear_problem, 1, 2, 2),
+        (problems.ou_linear_problem, 3, 3, 1),
+        (problems.quadratic_heat_problem, 1, 2, 3),
+        (problems.quadratic_heat_problem, 2, 3, 2),
+        (problems.heat_relu_problem, 1, 8, 64),  # the README reference
+    ],
+)
+def test_builds_give_the_old_bits(monkeypatch, maker, d, N, M):
+    # the problem's own networks are assembled inside the same swap
+    new = _solve(maker, d, N, M)
+    _assert_layers_equal(new, _old_assembly(monkeypatch, lambda: _solve(maker, d, N, M)))
+    _assert_assembled(new)
+    if (d, N, M) == (1, 8, 64):
+        # 1,730 layers that hold 29 weight arrays
+        assert new.depth == 1730 and len({id(l.weight) for l in new.layers}) == 29
+
+
+def test_layer_shares_the_assembled_array():
+    w = nets._assemble((3, 4), [(0, 0, -np.eye(2)), (2, 1, [[-0.0, 5.0]])])
+    layer = nets.Layer(w, np.zeros(3))
+    assert layer.weight is w and not w.flags.writeable
+    assert not np.signbit(w[w == 0.0]).any()
+    assert w.tolist() == [[-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 5.0, 0.0]]
+    # compose's fused weight is frozen in place and shared the same way
+    f = nets.affine_net(np.array([[-1.0, 1.0]]))
+    fused = nets.compose(f, nets.affine_net(np.array([[0.0, 2.0], [0.0, -3.0]]))).layers[0]
+    assert fused.weight.tolist() == [[0.0, -5.0]] and not np.signbit(fused.weight[0, 0])
+    assert nets.Layer(fused.weight, fused.bias).weight is fused.weight
 
 
 def _equal_bytes_net():

@@ -433,9 +433,9 @@ def test_small_or_unsplit_weights_stay_dense():
     assert nets._split(gen.normal(size=(40, 40))) is None  # one block
     # blocks of 20 x 20 and 20 x 20: two bins take half the dense multiply-adds
     a, b = gen.normal(size=(2, 20, 20))
-    assert nets._split(nets._block_diag([a, b])).stack.shape == (2, 20, 20)
+    assert nets._split(nets._assemble((40, 40), [(0, 0, a), (20, 20, b)])).stack.shape == (2, 20, 20)
     # blocks of 30 x 30 and 10 x 10: two bins of 30 x 30 take more than half
-    assert nets._split(nets._block_diag([gen.normal(size=(30, 30)), b[:10, :10]])) is None
+    assert nets._split(nets._assemble((40, 40), [(0, 0, gen.normal(size=(30, 30))), (30, 30, b[:10, :10])])) is None
     # one dense column joins every row: a single block
     w = _hidden_blocks_weight(gen, 40, 40, 8)
     w[:, 3] = 1.0

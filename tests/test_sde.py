@@ -611,6 +611,29 @@ def test_euler_states_equal_euler_grid_values(d, network):
     assert np.array_equal(last, _stored_euler_grid(x[0], drift, noise.increments, pb.T)[:, -1])
 
 
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("name", ["heat_relu", "quadratic_heat"])
+def test_zero_drift_net_gives_the_realize_bits_without_realize(monkeypatch, name, d):
+    # the all-zero drift takes the zero function: -0.0 starts and increments come out as through realize
+    pb = problems.get_problem(name, d).problem
+    inc = np.array(sde.sample_brownian(3, 4, 6, d, pb.T).increments)
+    inc[0] = -0.0
+    inc[1, :2] = 0.0
+    x = np.resize([-0.0, 0.0, 0.5, -1.25, -0.0], (6, d))
+    realized = lambda y: nets.realize(pb.drift_net, y)
+    calls = []
+    monkeypatch.setattr(sde, "realize", lambda net, y: calls.append(net) or nets.realize(net, y))
+    want = list(sde.euler_states(x, realized, inc, pb.T))
+    got = list(sde.euler_states(x, pb.drift_net, inc, pb.T))
+    assert np.signbit(got[0][:, 0]).any() and not calls
+    assert [y.tobytes() for y in got] == [y.tobytes() for y in want]
+    ts = np.array([0.0, 0.3, 0.5, 0.75, 1.0, 1.0]) * pb.T
+    want = sde.mc_values(pb.init_net, realized, inc, pb.T, ts, x)
+    got = sde.mc_values(pb.init_net, pb.drift_net, inc, pb.T, ts, x)
+    assert got.tobytes() == want.tobytes()
+    assert calls and all(net is pb.init_net for net in calls)
+
+
 def test_walk_norms_are_the_norms_of_the_partial_sums():
     inc = sde.sample_brownian(4, 5, 3, 2, 1.0).increments
     norms = sde.walk_norms(inc)
