@@ -400,6 +400,8 @@ def _load(read):
                 raise error(exc.msg, end - 1, texts[index][: exc.pos]) from None
         return value, end + 1
 
+    if skeleton.startswith("\ufeff"):  # json.loads's own check
+        raise error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
     decoder = json.JSONDecoder(parse_constant=_reject_constant)
     decoder.parse_array = parse_array
     decoder.scan_once = py_make_scanner(decoder)
@@ -427,7 +429,7 @@ def _unshared(value):
 def _read(fh) -> SolutionNet:
     try:
         doc = _load(fh.read)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # json recurses per nesting level
         raise SolutionNetFormatError("not a solution-network document: %s" % exc) from None
     if not isinstance(doc, dict) or doc.get("format") != "kolmonet-solution":
         raise SolutionNetFormatError("missing solution-network header")

@@ -26,7 +26,7 @@ import numpy as np
 
 
 # The arrays _own froze, by id; an entry dies with its array.  Each owns its
-# data and is read-only, so it is shared as it is rather than copied.
+# data and is read-only, so it and its float64 views are shared, not copied.
 _frozen = weakref.WeakValueDictionary()
 
 
@@ -39,8 +39,10 @@ def _own(a):
 
 
 def _freeze(a):
-    """``a`` itself if ``_own`` froze it, else a frozen float64 copy of it."""
-    return a if _frozen.get(id(a)) is a else _own(np.array(a, dtype=np.float64))
+    """``a`` itself if it is float64 and ``_own`` froze it or its ``base`` (a
+    view, such as a member's row of a bias table); else a frozen float64 copy."""
+    owner = a if getattr(a, "base", None) is None else a.base
+    return a if _frozen.get(id(owner)) is owner and a.dtype == np.float64 else _own(np.array(a, dtype=np.float64))
 
 
 def _assemble(shape, tiles):
@@ -54,14 +56,23 @@ def _assemble(shape, tiles):
     return _own(out)
 
 
+def _join(parts, lead=()):
+    """The frozen bias joining ``parts`` along their last axis, each repeated over
+    the member axis ``lead`` or a part's: every bias made of parts is written here,
+    into one fresh array, an (M, rows) table of member rows where it has M members."""
+    lead = np.broadcast_shapes(lead, *(np.shape(b)[:-1] for b in parts))
+    return _own(np.concatenate([np.broadcast_to(b, lead + np.shape(b)[-1:]) for b in parts], axis=-1))
+
+
 @dataclass(frozen=True)
 class Layer:
     """One affine layer: ``z -> weight @ z + bias``.
 
     weight has shape (out, in), bias has shape (out,), or (M, out) for one
     layer shared by M members that have the same weight and differ only
-    in their biases.  Arrays from ``_assemble``, ``compose`` or another
-    layer are shared as they are; others are copied, -0.0 made +0.0.
+    in their biases.  Arrays from ``_assemble``, ``_join``, ``compose`` or
+    another layer, and float64 views of them such as a member's row of a
+    bias table, are shared as they are; others are copied, -0.0 made +0.0.
     """
 
     weight: np.ndarray
@@ -370,7 +381,7 @@ def compose(f: Network, g: Network) -> Network:
     w1, b1 = f.layers[0].weight, f.layers[0].bias
     wl, bl = g.layers[-1].weight, g.layers[-1].bias
     # a batch of matrix-vector products; bl @ w1.T would round differently
-    fused = Layer(_own(w1 @ wl), np.matmul(w1, bl[..., None])[..., 0] + b1)
+    fused = Layer(_own(w1 @ wl), _own(np.matmul(w1, bl[..., None])[..., 0] + b1))
     return Network(g.layers[:-1] + (fused,) + f.layers[1:])
 
 
@@ -463,27 +474,24 @@ def pipeline_average(template: Network, M: int) -> Network:
     pairs = 2 * P
     A = pairs + 2  # the carried pairs, then the accumulator pair
     carry, quiet = np.eye(A), np.zeros(A)
-
-    def biases(*parts):  # the (M, rows) table of the member biases
-        return np.concatenate([np.broadcast_to(b, (M, b.shape[-1])) for b in parts], axis=-1)
-
     first, *hidden, out = template.layers
-    # the first block reads the pairs: first.weight @ [I, -I] is [W, -W], bit for bit
+    # Each block's bias is an (M, rows) table, and member m's layer holds its row m.  The first block
+    # reads the pairs: first.weight @ [I, -I] is [W, -W], bit for bit.
     W = first.weight
-    blocks = [(_assemble((A + first.out_dim, A), [(0, 0, carry), (A, 0, W), (A, P, -W)]), biases(quiet, first.bias))]
+    weight = _assemble((A + first.out_dim, A), [(0, 0, carry), (A, 0, W), (A, P, -W)])
+    blocks = [(weight, _join([quiet, first.bias], (M,)))]
     for l in hidden:
         weight = _assemble((A + l.out_dim, A + l.in_dim), [(0, 0, carry), (A, A, l.weight)])
-        blocks.append((weight, biases(quiet, l.bias)))
+        blocks.append((weight, _join([quiet, l.bias], (M,))))
     # the pairs pass on, and the accumulator pair adds the member's signed output
     W = out.weight
     tiles = [(0, 0, carry[:pairs, :pairs]), (pairs, pairs, [[1.0, -1.0], [-1.0, 1.0]])]
     weight = _assemble((A, A + out.in_dim), tiles + [(pairs, A, W), (pairs + 1, A, -W)])
-    blocks.append((weight, biases(np.zeros(pairs), out.bias, -out.bias)))
-    layers = [Layer(_assemble((A, P), [(0, 0, np.eye(P)), (P, 0, -np.eye(P))]), quiet)]
+    blocks.append((weight, _join([np.zeros(pairs), out.bias, -out.bias], (M,))))
+    layers = [Layer(_assemble((A, P), [(0, 0, np.eye(P)), (P, 0, -np.eye(P))]), _join([quiet]))]
     for m in range(M):
         layers.extend(Layer(w, b[m]) for w, b in blocks)
-    scale = 1.0 / M
-    layers.append(Layer(_assemble((1, A), [(0, pairs, [[scale, -scale]])]), np.zeros(1)))
+    layers.append(Layer(_assemble((1, A), [(0, pairs, [[1.0 / M, -1.0 / M]])]), np.zeros(1)))
     return Network(tuple(layers))
 
 
@@ -505,19 +513,14 @@ def parallel_stack(nets) -> Network:
     nets = [extend_length(n, depth) for n in nets]
     if len(nets) == 1:
         return nets[0]
-
-    def biases(k):
-        bs = [n.layers[k].bias for n in nets]
-        lead = np.broadcast_shapes(*(b.shape[:-1] for b in bs))
-        return np.concatenate([np.broadcast_to(b, lead + b.shape[-1:]) for b in bs], axis=-1)
-
     layers = []
     for k in range(depth):
         ws = [n.layers[k].weight for n in nets]
         rows = np.cumsum([0] + [len(w) for w in ws])
         # the first layers all read the shared input, each later one its own net's features
         cols = np.cumsum([0] + [w.shape[1] for w in ws]) if k else [0] * len(ws) + [nets[0].in_dim]
-        layers.append(Layer(_assemble((rows[-1], cols[-1]), zip(rows, cols, ws)), biases(k)))
+        weight = _assemble((rows[-1], cols[-1]), zip(rows, cols, ws))
+        layers.append(Layer(weight, _join([n.layers[k].bias for n in nets])))
     return Network(tuple(layers))
 
 
@@ -569,10 +572,11 @@ def product_net(eps: float, R: float = 1.0) -> Network:
         return blk
 
     # reassemble u = |.| per branch and take the sawtooth basis of u
-    layers.append(Layer(branches(np.ones((3, 2))), np.tile([0.0, -0.5, -1.0], 2)))
-    # t_k = 2 r1 - 4 r2 + 2 r3 and F_k = relu(F_{k-1} - 4^{-k} t_k)
+    layers.append(Layer(branches(np.ones((3, 2))), _join([[0.0, -0.5, -1.0]] * 2)))
+    # t_k = 2 r1 - 4 r2 + 2 r3 and F_k = relu(F_{k-1} - 4^{-k} t_k); the stages share one bias
+    shift = _join([[0.0, -0.5, -1.0, 0.0]] * 2)
     for k in range(1, K):
-        layers.append(Layer(branches(stage(k)), np.tile([0.0, -0.5, -1.0, 0.0], 2)))
+        layers.append(Layer(branches(stage(k)), shift))
     # final stage keeps only the running values F_K
     layers.append(Layer(branches(stage(K)[3:]), np.zeros(2)))
     # signed difference of the two branches through a rectifier pair
@@ -593,12 +597,8 @@ def hat_time_net(grid, n: int) -> Network:
     step = grid[n + 1] - grid[n]
     if step <= 0.0:
         raise ValueError("degenerate grid cell: tau_%d >= tau_%d" % (n, n + 1))
-    return Network(
-        (
-            Layer(np.array([[1.0], [1.0]]), np.array([-grid[n], -grid[n + 1]])),
-            Layer(np.array([[1.0 / step, -1.0 / step]]), np.zeros(1)),
-        )
-    )
+    ramps = Layer(np.array([[1.0], [1.0]]), np.array([-grid[n], -grid[n + 1]]))
+    return Network((ramps, Layer(np.array([[1.0 / step, -1.0 / step]]), np.zeros(1))))
 
 
 NETWORK_FORMAT_VERSION = 1
@@ -677,22 +677,22 @@ def network_from_doc(doc: dict) -> Network:
     dims = [int(v) for v in doc["dims"]]
     if len(dims) < 2 or len(doc["layers"]) != len(dims) - 1:
         raise ValueError("dims header inconsistent with layer count")
-    # A reader may hand equal arrays as one list (build.deserialize does), so
-    # each distinct list is checked and frozen once per shape, keyed by
-    # identity, and the layers that repeat it share one array: the document
-    # keeps every list alive for the length of the call.
+    # A reader may hand equal arrays as one list (build.deserialize does), so each distinct
+    # list is checked and frozen once per shape, keyed by identity, and the layers that repeat
+    # it share one array: the document keeps every list alive for the length of the call.  Each
+    # is converted into a fresh array, as a caller's document may hold numpy arrays of its own.
     arrays = {}
 
     def array(value, shape, k, what):
         key = (id(value), shape)
         hit = arrays.get(key)
         if hit is None:
-            hit = np.asarray(value, dtype=np.float64)
+            hit = np.array(value, dtype=np.float64)
             if hit.size != math.prod(shape):
                 raise ValueError("layer %d %s size mismatch" % (k, what))
             if not np.isfinite(hit).all():
                 raise ValueError("layer %d holds a non-finite value" % k)
-            hit = arrays[key] = _freeze(hit.reshape(shape))
+            hit = arrays[key] = _own(hit).reshape(shape)
         return hit
 
     layers = []

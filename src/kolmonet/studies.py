@@ -24,6 +24,8 @@ WEAK_REFINE = 64
 # Dimensions and grid steps of the scheme moment rows.
 MOMENT_DIMS = (1, 2, 5)
 MOMENT_STEPS = 16
+# Every coordinate of the moment rows' start point x0.
+MOMENT_START = 0.5
 # Increment values per row in a chunk of the moment rows' paths: a chunk draws both rows of a d
 # into one buffer of twice this many values (4.2 MB).
 _MOMENT_CHUNK_VALUES = 1 << 18
@@ -178,7 +180,7 @@ def _moment_chunk(pbs, seed: int, lo: int, hi: int, T: float, buffer, norms):
     index = np.arange(lo, hi, dtype=np.uint64)
     # rows [lo, hi) of sample_brownian(seed, MOMENT_STEPS, paths, d, T, pb.B) for every pb, from one draw
     sde._fill_increments(incs, seed, sde._TAG_INCREMENTS, index, [pb.B for pb in pbs], np.sqrt(T / MOMENT_STEPS))
-    x0 = np.full(d, 0.5)
+    x0 = np.full(d, MOMENT_START)
     return [
         _moment_norms(x0, pb.drift_net, inc, T, pb.params.C, pb.params.c, out)[1]
         for pb, inc, out in zip(pbs, incs, norms)
@@ -238,7 +240,7 @@ def _moment_norms(x0, drift, increments, T: float, C: float, c: float, out):
 def _moment_row(name: str, pb, norms, violations: int, q: float):
     """A row of ``moment_study`` from the (paths, N+1) state norms and the envelope violations."""
     paths, d = len(norms), pb.d
-    x0 = np.full(d, 0.5)
+    x0 = np.full(d, MOMENT_START)
     C, c = pb.params.C, pb.params.c
     powq = norms**q
     means = powq.mean(axis=0)

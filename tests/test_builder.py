@@ -493,6 +493,7 @@ _REJECTED_EDITS = [
     lambda text: text.replace('"pair": [[1, 2]', '"pair": [[1, 2,]'),  # a bad number array
     lambda text: text.replace("0.5, 2e-3", "0.5,\n 2e-3 x"),  # a bad value on a later line
     lambda text: text.replace('"bias": [5]', '"bias": []'),  # parses, but the bias does not fit
+    lambda text: "\ufeff" + text,  # a UTF-8 byte order mark
 ]
 
 
@@ -505,6 +506,25 @@ def test_reader_rejects_what_the_json_oracle_rejects(edit):
         build.deserialize(data)
     if isinstance(oracle.value, json.JSONDecodeError):
         assert str(reader.value) == "not a solution-network document: %s" % oracle.value
+
+
+def _deeply_nested(inside_provenance):
+    # 5,000 nested arrays, deeper than json parses
+    deep = "[" * 5000 + "]" * 5000
+    if inside_provenance:
+        return '{"format": "kolmonet-solution", "version": 1, "provenance": {"x": %s}, "network": {}}' % deep
+    return '{"format": "kolmonet-solution", "x": %s}' % deep
+
+
+@pytest.mark.parametrize("inside_provenance", [False, True])
+def test_reader_rejects_nesting_json_cannot_parse(tmp_path, inside_provenance):
+    text = _deeply_nested(inside_provenance)
+    with pytest.raises(RecursionError):
+        json.loads(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(build.SolutionNetFormatError, match="^not a solution-network document: maximum recursion depth"):
+        build.load_solution(path)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64, None])

@@ -531,6 +531,19 @@ def test_solution_file_with_invalid_utf8_beyond_the_first_chunk_exit_two(tmp_pat
     assert "cannot load network: not a solution-network document: 'utf-8' codec can't decode byte 0xff" in captured.err
 
 
+@pytest.mark.parametrize("inside_provenance", [False, True])
+def test_verify_of_nesting_json_cannot_parse_exit_two(tmp_path, capsys, inside_provenance):
+    # 5,000 nested arrays: json's parse exceeds the recursion limit, a malformed document, not a failed bound
+    deep = "[" * 5000 + "]" * 5000
+    body = '"version": 1, "provenance": {"x": %s}, "network": {}}' if inside_provenance else '"x": %s}'
+    net = tmp_path / "deep.json"
+    net.write_text('{"format": "kolmonet-solution", ' + body % deep)
+    assert run(["verify", "--in", str(net), "--problem", "heat_relu", "--d", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cannot load network: not a solution-network document: maximum recursion depth" in captured.err
+
+
 def test_import_and_path_studies_load_no_heavy_module():
     # build and verify may load mpmath for their bounds, and no scipy module
     # a fresh interpreter on this package's sources: this one has loaded them all

@@ -547,9 +547,18 @@ def test_stacked_layers_mix_vector_and_member_biases():
 
 
 def _stacked_biases(members, k):
-    bs = [n.layers[k].bias for n in members]
+    return _parallel_biases_old([n.layers[k].bias for n in members])
+
+
+def _parallel_biases_old(bs):
+    # parallel_stack's bias joiner before nets._join: a vector is repeated for every member of another bias
     lead = np.broadcast_shapes(*(b.shape[:-1] for b in bs))
     return np.concatenate([np.broadcast_to(b, lead + b.shape[-1:]) for b in bs], axis=-1)
+
+
+def _pipeline_biases_old(M, *parts):
+    # pipeline_average's bias joiner before nets._join: the (M, rows) table of the member biases
+    return np.concatenate([np.broadcast_to(b, (M, b.shape[-1])) for b in parts], axis=-1)
 
 
 def _block_diag(mats):
@@ -683,10 +692,7 @@ def _pipeline_average_old(template, M):
     pairs = 2 * P
     carry, quiet = np.eye(pairs + 2), np.zeros(pairs + 2)
     read = np.hstack([np.eye(P), -np.eye(P), np.zeros((P, 2))])
-
-    def biases(*parts):
-        return np.concatenate([np.broadcast_to(b, (M, b.shape[-1])) for b in parts], axis=-1)
-
+    biases = lambda *parts: _pipeline_biases_old(M, *parts)
     first, *hidden, out = template.layers
     difference = _block_diag([np.eye(pairs), np.array([[1.0, -1.0], [-1.0, 1.0]])])
     add = np.vstack([np.zeros((pairs, out.in_dim)), out.weight, -out.weight])
@@ -799,18 +805,18 @@ def _solve(maker, d, N, M):
     return build.solve(maker(d).problem, bounds.Budget(N=N, M=M, delta=2.0**-8), seed=2026).net
 
 
-@pytest.mark.parametrize(
-    "maker, d, N, M",
-    [
-        (problems.heat_relu_problem, 1, 3, 1),
-        (problems.heat_relu_problem, 2, 2, 3),
-        (problems.ou_linear_problem, 1, 2, 2),
-        (problems.ou_linear_problem, 3, 3, 1),
-        (problems.quadratic_heat_problem, 1, 2, 3),
-        (problems.quadratic_heat_problem, 2, 3, 2),
-        (problems.heat_relu_problem, 1, 8, 64),  # the README reference
-    ],
-)
+_BUILDS = [
+    (problems.heat_relu_problem, 1, 3, 1),
+    (problems.heat_relu_problem, 2, 2, 3),
+    (problems.ou_linear_problem, 1, 2, 2),
+    (problems.ou_linear_problem, 3, 3, 1),
+    (problems.quadratic_heat_problem, 1, 2, 3),
+    (problems.quadratic_heat_problem, 2, 3, 2),
+    (problems.heat_relu_problem, 1, 8, 64),  # the README reference
+]
+
+
+@pytest.mark.parametrize("maker, d, N, M", _BUILDS)
 def test_builds_give_the_old_bits(monkeypatch, maker, d, N, M):
     # the problem's own networks are assembled inside the same swap
     new = _solve(maker, d, N, M)
@@ -819,6 +825,63 @@ def test_builds_give_the_old_bits(monkeypatch, maker, d, N, M):
     if (d, N, M) == (1, 8, 64):
         # 1,730 layers that hold 29 weight arrays
         assert new.depth == 1730 and len({id(l.weight) for l in new.layers}) == 29
+
+
+def _copies(monkeypatch, make):
+    # make() and how many arrays Layer copied meanwhile: _freeze's copy branch
+    freeze, copies = nets._freeze, [0]
+
+    def counting(a):
+        out = freeze(a)
+        copies[0] += out is not a
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nets, "_freeze", counting)
+        return make(), copies[0]
+
+
+@pytest.mark.parametrize("maker, d, N, M", _BUILDS)
+def test_member_biases_are_rows_of_one_table_per_block(tmp_path, monkeypatch, maker, d, N, M):
+    net, copies = _copies(monkeypatch, lambda: _solve(maker, d, N, M))
+    assert copies <= 250  # 2,080 on the reference build when each member row was copied
+    if M > 1:
+        # between the read and average layers, M members of B blocks; block j of member m holds row m of table j
+        blocks = (net.depth - 2) // M
+        tables = [net.layers[1 + j].bias.base for j in range(blocks)]
+        assert len({id(t) for t in tables}) == blocks
+        for i, layer in enumerate(net.layers[1:-1]):
+            (m, j), table = divmod(i, blocks), tables[i % blocks]
+            assert layer.bias.base is table and table.shape == (M, layer.out_dim)
+            assert layer.bias.ctypes.data == table[m].ctypes.data and layer.bias.strides == table[m].strides
+            assert not table.flags.writeable and not np.signbit(table[table == 0.0]).any()
+        if (d, N, M) == (1, 8, 64):
+            assert blocks == 27 and len({id(l.bias.base) for l in net.layers[1:-1]}) == 27
+    # a file's arrays are converted once and shared by the layers as they are
+    path = tmp_path / "net.json"
+    build.save_solution(build.SolutionNet(net, {}), path)
+    back, copies = _copies(monkeypatch, lambda: build.load_solution(path).net)
+    _assert_layers_equal(back, net)
+    assert copies == 0  # 101 on the reference file when each converted array was copied
+
+
+@pytest.mark.parametrize("M", [None, 3])
+def test_join_gives_the_bits_of_both_old_bias_joiners(M):
+    # vectors holding -0.0, and with M a member table among them; _join makes -0.0 +0.0, as Layer did
+    gen = np.random.default_rng(12)
+    parts = [np.array([-0.0, 1.5, 0.0]), gen.normal(size=2 if M is None else (M, 2)), np.array([-2.0, -0.0])]
+    parts[1][..., 0] = -0.0
+    members = 3 if M is None else M
+    pairs = [(nets._join(parts), _parallel_biases_old(parts))]
+    pairs.append((nets._join(parts, (members,)), _pipeline_biases_old(members, *parts)))
+    for joined, old in pairs:
+        assert joined.shape == old.shape and joined.tobytes() == (old + 0.0).tobytes()
+        assert not joined.flags.writeable and not np.signbit(joined[joined == 0.0]).any()
+        weight = np.ones((joined.shape[-1], 1))
+        assert nets.Layer(weight, joined).bias is joined
+        if joined.ndim == 2:
+            row = joined[1]
+            assert nets.Layer(weight, row).bias is row
 
 
 def test_layer_shares_the_assembled_array():
@@ -832,6 +895,10 @@ def test_layer_shares_the_assembled_array():
     fused = nets.compose(f, nets.affine_net(np.array([[0.0, 2.0], [0.0, -3.0]]))).layers[0]
     assert fused.weight.tolist() == [[0.0, -5.0]] and not np.signbit(fused.weight[0, 0])
     assert nets.Layer(fused.weight, fused.bias).weight is fused.weight
+    # and so is its fused bias, a vector or a member table
+    g = nets.affine_net(np.array([[1.0], [2.0]]), np.array([[-1.0, 0.5], [2.0, -0.0]]))
+    for fused in (fused, nets.compose(f, g).layers[0]):
+        assert not fused.bias.flags.writeable and nets.Layer(fused.weight, fused.bias).bias is fused.bias
 
 
 def _equal_bytes_net():
@@ -959,7 +1026,14 @@ def _broadcast_view(w):
     return np.broadcast_to(row, w.shape), lambda: row.fill(7.0)
 
 
-@pytest.mark.parametrize("given", [_writable, _read_only, _broadcast_view])
+def _read_only_view(w):
+    # read-only, but a view of the caller's writable array
+    view = w[:]
+    view.flags.writeable = False
+    return view, lambda: w.fill(7.0)
+
+
+@pytest.mark.parametrize("given", [_writable, _read_only, _broadcast_view, _read_only_view])
 def test_layer_copies_arrays_it_did_not_freeze(given):
     weight, mutate = given(np.array([[-0.0, 1.0, -2.0], [-0.0, 1.0, -2.0]]))
     layer = nets.Layer(weight, np.array([-0.0, 3.0]))
@@ -968,6 +1042,27 @@ def test_layer_copies_arrays_it_did_not_freeze(given):
     mutate()
     assert np.array_equal(layer.weight, [[0.0, 1.0, -2.0], [0.0, 1.0, -2.0]])
     assert not layer.weight.flags.writeable
+
+
+def test_layer_copies_views_of_an_owned_array_in_another_dtype_and_lists():
+    owned = nets.Layer(np.array([[1.5, -2.0]]), np.zeros(1)).weight
+    for given in (owned.view(">f8"), owned.view(np.int64), [[1.5, -0.0]]):
+        layer = nets.Layer(given, np.zeros(1))
+        assert layer.weight is not given and layer.weight.dtype == np.float64
+        assert not layer.weight.flags.writeable
+        assert layer.weight.tobytes() == (np.asarray(given, np.float64) + 0.0).tobytes()
+
+
+def test_network_from_doc_leaves_the_callers_arrays_as_they_are():
+    weight, bias = np.array([-0.0, 2.0, 3.0, -4.0]), np.array([-0.0, 1.0])
+    doc = {"version": nets.NETWORK_FORMAT_VERSION, "dims": [2, 2], "layers": [{"weight": weight, "bias": bias}]}
+    layer = nets.network_from_doc(doc).layers[0]
+    assert weight.flags.writeable and bias.flags.writeable
+    assert np.signbit(weight[0]) and np.signbit(bias[0])  # not made +0.0 in place
+    weight.fill(7.0)
+    bias.fill(7.0)
+    assert layer.weight.tolist() == [[0.0, 2.0], [3.0, -4.0]] and layer.bias.tolist() == [0.0, 1.0]
+    assert not np.signbit(layer.weight[0, 0]) and not np.signbit(layer.bias[0])
 
 
 def test_network_from_doc_shares_each_distinct_list_and_shape():
