@@ -486,7 +486,8 @@ def plan_budget(params: RegularityParams, d: int, eps: float) -> BudgetPlan:
     """Budget (N, M, delta) guaranteeing L^p error <= eps per the cost analysis.
 
     Uses the error constant of ``solution_error_bound``.  All arithmetic
-    is in log10, so the planner never overflows; materialize with
+    is in log10; a log10 or the cost exponent beyond the float range raises
+    OverflowError naming the first such value.  Materialize with
     ``.budget()`` (raises when the integers are not representable).
     """
     import mpmath
@@ -519,13 +520,15 @@ def plan_budget(params: RegularityParams, d: int, eps: float) -> BudgetPlan:
         log10_cost = (
             mpmath.log10(frak_c) + (18.0 + 8.0 * k) * log10_eps_inv + cost_exp * log10_d
         )
-        return BudgetPlan(
+        values = dict(
             log10_N=float(log10_n),
             log10_M=float(log10_m),
             log10_delta=float(log10_delta),
             cost_exponent=float(cost_exp),
             log10_cost=float(log10_cost),
-            eps=eps,
-            d=d,
         )
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise OverflowError("planner %s is not finite (%r): the inputs overflow the float range even in log10" % (name, value))
+    return BudgetPlan(eps=eps, d=d, **values)
 

@@ -3,9 +3,10 @@
 Networks are plain tuples of (weight, bias) layers, realized with the
 rectifier on hidden layers and an affine output layer.  All operations
 here are pure and return new immutable networks, so values can be shared
-freely across threads.  ``realize`` runs a layer through the independent
-blocks of its weight's nonzero pattern where it splits; each network
-works out that plan (numpy alone) on its first ``realize`` and keeps it.
+freely across threads.  Where any weight splits into the independent
+blocks of its nonzero pattern, ``realize`` runs every layer as bins of
+blocks, a weight that does not split as one bin; each network works out
+that plan (numpy alone) on its first ``realize`` and keeps it.
 
 The nonstandard constructions are ``product_net`` (an accuracy
 controlled two-input multiplier built from the sawtooth approximation of
@@ -239,35 +240,30 @@ def _split(weight):
 
 
 def _realize_plan(net):
-    """Per layer: (gather, weight or bin stack, bias or None, blocked);
-    then the output gather, the height R of the activation buffers and the
-    longest gather.
+    """Per layer: (gather, bin stack); then the output gather, the height R
+    of the activation buffers and the longest gather.  None where no layer
+    splits: ``realize`` then runs the dense loop.
 
-    Each distinct weight is split once.  A block layer's stack carries its
-    bias as one more column (0 on padding rows), formed once per distinct
-    pair of bias bytes and blocks, and its gather reads that column's
-    input from row R, the ones row that sits below the tallest activation
-    from the first block layer on.  A block layer leaves its outputs in
-    bin order: the next block layer folds that order into its gather, and
-    a dense layer or the output gathers the features back into order.
+    Each distinct weight is split once, and one that stays dense becomes a
+    single bin.  Each stack carries its layer's bias as one more column (0
+    on padding rows), formed once per distinct pair of bias bytes and
+    blocks, and its gather reads that column's input from row R, the ones
+    row that sits below the input and the tallest activation.  A layer
+    leaves its outputs in bin order: the next layer folds that order into
+    its gather, and the output gather puts the features back in order.
     """
-    splits = {}
-    for layer in net.layers:
-        if id(layer.weight) not in splits:
-            splits[id(layer.weight)] = _split(layer.weight)
+    weights = {id(layer.weight): layer.weight for layer in net.layers}
+    splits = {key: _split(w) for key, w in weights.items()}
+    if all(b is None for b in splits.values()):
+        return None
+    for key, w in weights.items():
+        if splits[key] is None:
+            out, inp = w.shape
+            splits[key] = _Blocks(w[None], np.arange(inp), np.arange(out), np.arange(out))
     blocks = [splits[id(layer.weight)] for layer in net.layers]
-    first = next((k for k, b in enumerate(blocks) if b is not None), len(blocks))
-    if first == len(blocks):
-        return [(None, l.weight, l.bias, False) for l in net.layers], None, 0, 0
-    height = max(
-        [net.layers[first].in_dim]
-        + [l.out_dim if b is None else len(b.src) for l, b in zip(net.layers[first:], blocks[first:])]
-    )
+    height = max([net.in_dim] + [len(b.src) for b in blocks])
     gathers, stacks, steps = {}, {}, []
     for layer, prev, b in zip(net.layers, [None] + blocks, blocks):
-        if b is None:
-            steps.append((None if prev is None else prev.position, layer.weight, layer.bias, False))
-            continue
         bins, rb, cb = b.stack.shape
         pair = (id(prev), id(b))
         if pair not in gathers:
@@ -277,9 +273,8 @@ def _realize_plan(net):
         if key not in stacks:
             column = np.append(layer.bias, 0.0)[b.src].reshape(bins, rb, 1)
             stacks[key] = np.concatenate([b.stack, column], axis=2)
-        steps.append((gathers[pair], stacks[key], None, True))
-    width = max(len(step[0]) for step in steps[first:] if step[0] is not None)
-    return steps, None if blocks[-1] is None else blocks[-1].position, height, width
+        steps.append((gathers[pair], stacks[key]))
+    return steps, blocks[-1].position, height, max(len(gather) for gather, _ in steps)
 
 
 def realize(net: Network, x):
@@ -287,9 +282,10 @@ def realize(net: Network, x):
 
     ``x`` may be a single input of shape (in_dim,) or a batch of shape
     (n, in_dim).  Hidden layers apply the rectifier componentwise; the
-    final layer is affine.  A layer whose weight splits into independent
-    blocks multiplies only the blocks, all in one batched product (see
-    ``_split``); other layers run dense.  A single input is evaluated as a
+    final layer is affine.  Where any layer's weight splits into
+    independent blocks, every layer runs as bins in one batched product
+    (see ``_split``), a dense weight as a single bin; a network in which no
+    layer splits runs the dense loop.  A single input is evaluated as a
     batch of one and gives its bits, and a repeated call on the same batch
     gives the same bits; a row may differ in its last bits between batches
     of other sizes, as BLAS picks its kernels by shape.
@@ -306,55 +302,38 @@ def realize(net: Network, x):
             "input length %d does not match network input dimension %d"
             % (x.shape[1], net.in_dim)
         )
-    n = x.shape[0]
-    steps, final, height, width = net._plan
-    last = len(steps) - 1
-    # Activations run as (n, features) until the first block layer and as
-    # (features, n) from there on, so each block gathers whole rows.  From
-    # there on a layer reads one of two buffers and writes into the other,
-    # and they swap (a dense last layer makes its own array); their row
-    # R = height stays 1 for the bias column of a block layer's stack.  The
-    # rectifier runs about 3x faster against an array of zeros than against
-    # 0.0.  A network without block layers, such as the drift nets an Euler
-    # loop realizes once per step, allocates none of this.
-    if height:
-        src, dst = np.empty((2, height + 1, n))
-        src[height] = dst[height] = 1.0
-        gathered = np.empty(width * n)
-        zeros = np.zeros((height, n))
-    z, rows = x, False
-    for k, (gather, op, bias, blocked) in enumerate(steps):
-        if blocked:
-            if not rows:
-                np.copyto(src[: z.shape[1]], z.T)
-                rows = True
-            bins, rb, cb = op.shape
-            g = gathered[: bins * cb * n].reshape(bins * cb, n)
-            np.take(src, gather, axis=0, out=g, mode="clip")
-            z = dst[: bins * rb]
-            # the bias column meets the ones row as the last term of each sum
-            np.matmul(op, g.reshape(bins, cb, n), out=z.reshape(bins, rb, n))
-        elif rows:
-            if gather is None:
-                g = src[: op.shape[1]]
-            else:
-                g = gathered[: len(gather) * n].reshape(len(gather), n)
-                np.take(src, gather, axis=0, out=g, mode="clip")
-            z = op @ g if k == last else np.matmul(op, g, out=dst[: len(op)])
-            z += bias[:, None]
-        else:
-            z = z @ op.T
-            z += bias
-        if k < last:
-            if rows:
-                np.maximum(z, zeros[: len(z)], out=z)
-                src, dst = dst, src
-            else:
+    n, last = x.shape[0], net.depth - 1
+    if net._plan is None:
+        # the drift nets an Euler loop realizes once per step allocate no buffers
+        z = x
+        for k, layer in enumerate(net.layers):
+            z = z @ layer.weight.T
+            z += layer.bias
+            if k < last:
                 np.maximum(z, 0.0, out=z)
-    if final is not None:
-        z = z.take(final, axis=0)
-    if rows:
-        z = z.T
+        return z[0] if single else z
+    steps, final, height, width = net._plan
+    # Activations run as (features, n), so each bin gathers whole rows.  A
+    # layer reads one of two buffers and writes into the other, and they
+    # swap; their row R = height stays 1 for the bias column of each stack.
+    # The rectifier runs about 3x faster against an array of zeros than
+    # against 0.0.
+    src, dst = np.empty((2, height + 1, n))
+    src[height] = dst[height] = 1.0
+    src[: net.in_dim] = x.T
+    gathered = np.empty(width * n)
+    zeros = np.zeros((height, n))
+    for k, (gather, stack) in enumerate(steps):
+        bins, rb, cb = stack.shape
+        g = gathered[: bins * cb * n].reshape(bins * cb, n)
+        np.take(src, gather, axis=0, out=g, mode="clip")
+        z = dst[: bins * rb]
+        # the bias column meets the ones row as the last term of each sum
+        np.matmul(stack, g.reshape(bins, cb, n), out=z.reshape(bins, rb, n))
+        if k < last:
+            np.maximum(z, zeros[: len(z)], out=z)
+            src, dst = dst, src
+    z = z.take(final, axis=0).T
     return z[0] if single else z
 
 

@@ -359,6 +359,20 @@ def test_plan_budget_fixture_d10():
     )
 
 
+@pytest.mark.parametrize(
+    "params, d, name, value",
+    [
+        (bounds.RegularityParams(T=1.0, kappa=1e160), 1, "log10_N", "nan"),  # inf * log10(1) = nan
+        (bounds.RegularityParams(T=1.0, kappa=1e160), 2, "log10_N", "inf"),
+        (bounds.RegularityParams(T=1.0, kappa=1.0, eta=1e308), 2, "log10_N", "inf"),
+        (bounds.RegularityParams(T=1e308, kappa=1.0), 1, "log10_N", "inf"),
+    ],
+)
+def test_plan_budget_beyond_float_range_raises_naming_the_value(params, d, name, value):
+    with pytest.raises(OverflowError, match=r"^planner %s is not finite \(%s\)" % (name, value)):
+        bounds.plan_budget(params, d, 1.0)
+
+
 def test_plan_budget_overflow_guard():
     plan = bounds.plan_budget(P1, 10, 0.1)
     assert not plan.representable

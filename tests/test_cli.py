@@ -407,6 +407,17 @@ def test_plan_non_finite_regularity_exit_two(capsys, flag, value):
     assert captured.out == "" and "%s must be finite, got %s" % (flag[2:], value) in captured.err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--kappa", "1e160"], ["--kappa", "1e160", "--d", "2"], ["--eta", "1e308", "--d", "2"], ["--T", "1e308"]],
+)
+def test_plan_beyond_float_range_exit_two(capsys, args):
+    # the planner's log10 values overflow: an error, not inf or nan on stdout
+    assert run(["plan"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: planner log10_N is not finite")
+
+
 def test_verify_realizes_the_network_once(tmp_path, capsys, monkeypatch):
     out = tmp_path / "heat.json"
     args = ["build", "--problem", "heat_relu", "--d", "1", "--N", "2", "--M", "4", "--delta", "0.0625", "--seed", "1"]

@@ -93,8 +93,8 @@ def _realize_old(net, x):
 
 
 def _blocked(net):
-    """Per layer, whether realize runs it through its blocks."""
-    return [step[3] for step in net._plan[0]]
+    """Per layer, whether its weight splits into blocks."""
+    return [nets._split(layer.weight) is not None for layer in net.layers]
 
 
 def _assert_close_to_dense(net, x):
@@ -224,17 +224,25 @@ def test_block_and_dense_layers_interleave():
 
 
 def test_dense_nets_take_the_old_path_bitwise():
-    # no layer splits: the drift nets of the problems, and random full weights
+    # no layer splits: the drift and initial-value nets of the problems, and random full weights
     gen = np.random.default_rng(12)
     cases = [
         nets.Network((nets.Layer(gen.normal(size=(30, 20)), gen.normal(size=30)),
                       nets.Layer(gen.normal(size=(3, 30)), gen.normal(size=3)))),
     ]
+    split = []
     for name in problems.problem_names():
         for d in range(1, 6):
-            cases.append(problems.get_problem(name, d).problem.drift_net)
+            pb = problems.get_problem(name, d).problem
+            cases.append(pb.drift_net)
+            if any(_blocked(pb.init_net)):
+                split.append((name, d))
+            else:
+                cases.append(pb.init_net)
+    # only the sums of two or more square networks split, and they run as bins
+    assert split == [("quadratic_heat", d) for d in range(2, 6)]
     for net in cases:
-        assert not any(_blocked(net))
+        assert not any(_blocked(net)) and net._plan is None
         x = gen.normal(size=(257, net.in_dim))
         got = nets.realize(net, x)
         assert got.flags.c_contiguous
@@ -312,6 +320,8 @@ def test_exact_hidden_block_nets_give_the_old_bits(net, seed, n):
         ([(40, 30, 8), (24, 40, 0), (20, 24, 0), (36, 20, 6), (32, 36, 7)], [True, False, False, True, True]),
         ([(20, 20, 5), (70, 20, 0), (20, 70, 6), (3, 20, 0)], [True, False, True, False]),  # dense rows tallest
         ([(40, 30, 8)], [True]),
+        ([(30, 96, 6), (36, 30, 0), (2, 36, 0)], [True, False, False]),  # the input is the tallest
+        ([(16, 100, 0), (40, 16, 4), (3, 40, 0)], [False, True, False]),  # a dense layer reads it
     ],
 )
 def test_layout_boundaries_give_the_old_bits(shapes, blocked):
@@ -324,7 +334,7 @@ def test_layout_boundaries_give_the_old_bits(shapes, blocked):
         layers.append(nets.Layer(np.round(4 * w), gen.integers(-4, 5, out).astype(np.float64)))
     net = nets.Network(tuple(layers))
     assert _blocked(net) == blocked
-    for n in (0, 1, 7, 512):
+    for n in (0, 1, 7, 512, 513):
         _assert_as_old(net, gen.integers(-4, 5, (n, net.in_dim)).astype(np.float64))
 
 
@@ -390,9 +400,10 @@ def test_plan_is_made_once_per_network(reference, monkeypatch):
     distinct = {id(layer.weight) for layer in net.layers}
     assert sorted(calls) == sorted(distinct) and len(distinct) == 29
     # one stack per distinct (weight, bias bytes) pair at most, and far fewer than block layers
-    pairs = {(id(layer.weight), layer.bias.tobytes()) for layer, step in zip(net.layers, steps) if step[3]}
-    stacks = {id(step[1]) for step in steps if step[3]}
-    assert len(stacks) <= len(pairs) < sum(_blocked(net)) == 1536
+    blocked = _blocked(net)
+    pairs = {(id(layer.weight), layer.bias.tobytes()) for layer, on in zip(net.layers, blocked) if on}
+    stacks = {id(step[1]) for step, on in zip(steps, blocked) if on}
+    assert len(stacks) <= len(pairs) < sum(blocked) == 1536
 
 
 # ---------------------------------------------------------------------------
