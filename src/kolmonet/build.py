@@ -303,10 +303,10 @@ _KEY = 16  # bytes of each end of an array text in its lookup key
 
 
 def _load(read):
-    """``json.loads(text, parse_constant=_reject_constant)`` of the UTF-8
-    text that ``read(n)`` returns, at most n bytes a call and b"" at its
-    end, holding a chunk of it at a time and parsing each distinct text of
-    an array of numbers once.
+    """``json.loads(text, parse_constant=_reject_constant)`` of a valid
+    UTF-8 document whose bytes ``read(n)`` returns, at most n a call and
+    b"" at its end, holding a chunk of it at a time and parsing each
+    distinct text of an array of numbers once.
 
     The M path networks share their weights, so a solution file repeats
     few distinct arrays (the reference build's 3,461 hold 102 texts).  An
@@ -319,9 +319,9 @@ def _load(read):
     for ASCII characters alone in UTF-8, and the skeleton, decoded whole,
     holds every other byte.  json parses the skeleton, and a placeholder
     gives the list json parses from its text on the text's first
-    occurrence: equal texts yield one shared list.  A JSONDecodeError
-    carries the original text up to the error, and a UnicodeDecodeError
-    the position in the document, so each reads as on the whole text.
+    occurrence: equal texts yield one shared list.  A malformed document
+    raises UnicodeDecodeError or json.JSONDecodeError, at no particular
+    position; ``_read`` reports json's own error on the whole text.
     """
     pieces, size, carry = [], 0, b""
     leaves = {}  # skeleton offset of a placeholder -> index of its text
@@ -360,12 +360,7 @@ def _load(read):
         size += len(pieces[-1])
     pieces.append(carry)
     raw = b"".join(pieces)
-    try:
-        skeleton = raw.decode()
-    except UnicodeDecodeError as exc:  # raised at its position in the document
-        shift = sum(len(texts[i]) - 2 for offset, i in leaves.items() if offset < exc.start)
-        bad = bytes(shift) + raw[: exc.end]
-        raise UnicodeDecodeError(exc.encoding, bad, exc.start + shift, exc.end + shift, exc.reason) from None
+    skeleton = raw.decode()
     if len(skeleton) < len(raw):  # the offsets count bytes; count characters
         chars, last, moved = 0, 0, {}
         for offset, index in leaves.items():
@@ -375,46 +370,19 @@ def _load(read):
     texts = [text.decode() for text in texts]
     values = [None] * len(texts)
 
-    def error(msg, upto, tail=""):
-        # json's error at skeleton offset upto (and tail into a leaf), on the original text
-        parts, last = [], 0
-        for offset, index in leaves.items():
-            if offset >= upto:
-                break
-            parts += (skeleton[last:offset], texts[index])
-            last = offset + 2
-        parts += (skeleton[last:upto], tail)
-        prefix = "".join(parts)
-        return json.JSONDecodeError(msg, prefix, len(prefix))
-
     def parse_array(s_and_end, scan_once):
         end = s_and_end[1]
         index = leaves.get(end - 1)
         if index is None:
             return JSONArray(s_and_end, scan_once)
-        value = values[index]
-        if value is None:
-            try:
-                value = values[index] = json.loads(texts[index], parse_constant=_reject_constant)
-            except json.JSONDecodeError as exc:
-                raise error(exc.msg, end - 1, texts[index][: exc.pos]) from None
-        return value, end + 1
+        if values[index] is None:
+            values[index] = json.loads(texts[index], parse_constant=_reject_constant)
+        return values[index], end + 1
 
-    if skeleton.startswith("\ufeff"):  # json.loads's own check
-        raise error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
     decoder = json.JSONDecoder(parse_constant=_reject_constant)
     decoder.parse_array = parse_array
     decoder.scan_once = py_make_scanner(decoder)
-    try:
-        return decoder.decode(skeleton)
-    except json.JSONDecodeError as exc:
-        if exc.doc is not skeleton:
-            raise
-        raise error(exc.msg, exc.pos) from None
-
-
-def _loads(text: str):
-    return _load(io.BytesIO(text.encode()).read)
+    return decoder.decode(skeleton)
 
 
 def _unshared(value):
@@ -427,8 +395,14 @@ def _unshared(value):
 
 
 def _read(fh) -> SolutionNet:
+    """The solution in the binary stream ``fh``, at byte 0; a malformed
+    document is read again, whole, by ``json.loads``, which raises its error."""
     try:
-        doc = _load(fh.read)
+        try:
+            doc = _load(fh.read)
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            fh.seek(0)
+            doc = json.loads(fh.read().decode(), parse_constant=_reject_constant)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # json recurses per nesting level
         raise SolutionNetFormatError("not a solution-network document: %s" % exc) from None
     if not isinstance(doc, dict) or doc.get("format") != "kolmonet-solution":

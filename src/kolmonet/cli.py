@@ -7,13 +7,14 @@ solution network), ``verify`` (error report for a written network), and
 given a size flag it does not read exits 2 (bounds reads neither).
 
 All commands are deterministic given their flags; seeds are explicit.
-Exit codes: 0 success, 1 bound violation, 2 input/IO error.  Flags beat
-values from ``--config`` (a JSON file mirroring flag names), which beat
-built-in defaults.  KOLMONET_THREADS, a positive integer, caps the
-threads of the Brownian sampler's draws of long streams (one per CPU by
-default; streams of fewer than 512 words draw on the calling thread),
-and BLAS parallelism too when set before the interpreter first loads
-numpy; any other nonempty value exits 2 before any work.
+Exit codes: 0 success, 1 bound violation, 2 input/IO error or a failed
+allocation.  Flags beat values from ``--config`` (a JSON file mirroring
+flag names), which beat built-in defaults.  KOLMONET_THREADS, a positive
+integer, caps the threads of the Brownian sampler's draws of long
+streams (one per CPU by default; streams of fewer than 512 words draw on
+the calling thread), and BLAS parallelism too when set before the
+interpreter first loads numpy; any other nonempty value exits 2 before
+any work.
 """
 
 import os
@@ -271,6 +272,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OverflowError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:
+        return _fail("not enough memory: %s" % exc)
 
 
 if __name__ == "__main__":

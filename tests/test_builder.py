@@ -415,8 +415,8 @@ def _deserialize_oracle(data):
     return nets.Network(layers), doc["provenance"]
 
 
-def _assert_reads_as_oracle(data):
-    back = build.deserialize(data)
+def _assert_reads_as_oracle(data, read=build.deserialize):
+    back = read(data)
     net, provenance = _deserialize_oracle(data)
     assert back.provenance == provenance
     assert back.net.dims == net.dims
@@ -506,6 +506,53 @@ def test_reader_rejects_what_the_json_oracle_rejects(edit):
         build.deserialize(data)
     if isinstance(oracle.value, json.JSONDecodeError):
         assert str(reader.value) == "not a solution-network document: %s" % oracle.value
+
+
+# two array texts of equal length whose first and last _KEY bytes agree: they share a lookup key
+_KEY_TWINS = ["[%s]" % ", ".join("1" * 7 + middle + "1" * 7) for middle in "23"]
+_KEY_TWINS_DOCUMENT = """{"format": "kolmonet-solution", "version": 1,
+  "network": {"dims": [15, 1, 15, 1], "version": 1, "layers": [
+    {"weight": %(a)s, "bias": [0]},
+    {"weight": %(b)s, "bias": %(a)s},
+    {"weight": %(a)s, "bias": [0.5]}]},
+  "provenance": {"rows": [%(b)s, %(a)s, %(b)s], "seed": 1}}
+""" % dict(zip("ab", _KEY_TWINS))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_reader_tells_apart_array_texts_that_share_a_lookup_key(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(build, "_CHUNK", chunk)
+    a, b = _KEY_TWINS
+    k = build._KEY
+    assert len(a) == len(b) > 2 * k and a[:k] == b[:k] and a[-k:] == b[-k:] and a != b
+    back = _assert_reads_as_oracle(_KEY_TWINS_DOCUMENT.encode())
+    assert back.provenance["rows"] == [json.loads(b), json.loads(a), json.loads(b)]
+    assert back.net.layers[1].weight.ravel().tolist() == json.loads(b)
+
+
+class _Unseekable(io.BytesIO):
+    """A stream the reader cannot read a second time: a document it takes for malformed raises here."""
+
+    def seek(self, *args):
+        raise AssertionError("the reader read a valid document a second time")
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_reader_reads_every_written_file_in_one_pass(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(build, "_CHUNK", chunk)
+    documents = [_HAND_EDITED.encode()]
+    for maker in (problems.heat_relu_problem, problems.ou_linear_problem, problems.quadratic_heat_problem):
+        for d in (1, 2):
+            for M in (1, 2):
+                sol = build.solve(maker(d).problem, bounds.Budget(N=2, M=M, delta=2.0**-4), seed=11)
+                documents.append(build.serialize(sol))
+    if chunk is None:  # 23 MB: at a few bytes a read the scan would take minutes
+        reference = bounds.Budget(N=8, M=64, delta=2.0**-8)
+        documents.append(build.serialize(build.solve(problems.heat_relu_problem(1).problem, reference, seed=2026)))
+    for data in documents:
+        _assert_reads_as_oracle(data, lambda raw: build._read(_Unseekable(raw)))
 
 
 def _deeply_nested(inside_provenance):

@@ -555,6 +555,28 @@ def test_verify_of_nesting_json_cannot_parse_exit_two(tmp_path, capsys, inside_p
     assert "error: cannot load network: not a solution-network document: maximum recursion depth" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["study", "weak", "--paths", "1000000000000000"],
+        ["study", "euler", "--paths", "1000000000000000"],
+        ["verify", "--in", "{net}", "--problem", "heat_relu", "--samples", "1000000000000000"],
+        ["build", "--problem", "heat_relu", "--N", "1", "--M", "1000000000000000", "--delta", "0.5", "--out", "{out}"],
+    ],
+    ids=["study-weak", "study-euler", "verify", "build"],
+)
+def test_sizes_no_allocation_can_hold_exit_two_with_one_line(tmp_path, capsys, argv):
+    # 10^15 paths, points or members need petabytes, beyond the 2^47-byte address space:
+    # numpy refuses each array before it touches memory
+    net, out = tmp_path / "net.json", tmp_path / "out.json"
+    assert run(["build", "--problem", "heat_relu", "--N", "1", "--M", "1", "--delta", "0.5", "--out", str(net)]) == 0
+    capsys.readouterr()
+    assert run([arg.format(net=net, out=out) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: not enough memory: ") and captured.err.count("\n") == 1
+
+
 def test_import_and_path_studies_load_no_heavy_module():
     # build and verify may load mpmath for their bounds, and no scipy module
     # a fresh interpreter on this package's sources: this one has loaded them all

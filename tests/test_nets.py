@@ -1070,7 +1070,7 @@ def test_network_from_doc_shares_each_distinct_list_and_shape():
     net = _equal_bytes_net()
     buf = io.StringIO()
     nets.write_network(buf, net)
-    back = nets.network_from_doc(build._loads(buf.getvalue()))
+    back = nets.network_from_doc(build._load(io.BytesIO(buf.getvalue().encode()).read))
     _assert_layers_equal(back, net)
     weights = [l.weight for l in back.layers]
     # layers 1 and 3 repeat one matrix; layer 0 holds its text under another shape
